@@ -186,6 +186,13 @@ def solve_moment_problem(
     ``1e-6 * max|m|`` raises :class:`ConditioningError`: regularize or drop
     modes instead of trusting the coefficients.
     """
+    return _solve_moments(problem, regularization)[0]
+
+
+def _solve_moments(
+    problem: MomentProblem, regularization: float
+) -> tuple[ControlFunction, np.ndarray]:
+    """:func:`solve_moment_problem` plus the moment residual vector ``G c - m``."""
     regularization = _require_finite(regularization, "regularization")
     if regularization < 0:
         raise ValueError("regularization must be nonnegative")
@@ -197,7 +204,8 @@ def solve_moment_problem(
         coeffs = coeffs + np.linalg.solve(system, moments - system @ coeffs)
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(f"moment system solve failed: {exc}") from exc
-    residual = float(np.max(np.abs(gram @ coeffs - moments)))
+    residuals = gram @ coeffs - moments
+    residual = float(np.max(np.abs(residuals)))
     scale = float(np.max(np.abs(moments))) if moments.size else 0.0
     if not math.isfinite(residual):
         raise ConditioningError("moment solve produced non-finite residuals")
@@ -206,7 +214,7 @@ def solve_moment_problem(
             f"moment residual {residual:.3e} exceeds 1e-6 * max|m| = {1e-6 * scale:.3e}; "
             "increase regularization or drop modes"
         )
-    return ControlFunction(
+    control = ControlFunction(
         kind="lumped",
         horizon=problem.horizon,
         exponents=problem.exponents,
@@ -215,6 +223,7 @@ def solve_moment_problem(
         energy=float(coeffs @ gram @ coeffs),
         gram_condition=float(np.linalg.cond(gram)),
     )
+    return control, residuals
 
 
 def _mode_deltas(
@@ -300,9 +309,7 @@ def synthesize_lumped(
         moments=tuple(deltas[j - 1] / couplings[j] for j in retained),
         horizon=horizon,
     )
-    control = solve_moment_problem(problem, regularization)
-    gram = gram_matrix(problem.exponents, horizon)
-    moment_residuals = gram @ np.array(control.coeffs) - np.array(problem.moments)
+    control, moment_residuals = _solve_moments(problem, regularization)
     mismatch = math.fsum(
         (couplings[j] * float(r)) ** 2 for j, r in zip(retained, moment_residuals)
     )

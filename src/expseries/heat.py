@@ -165,12 +165,13 @@ def _residue_moduli(actuator: Actuator) -> list[int]:
 
 
 def blocked_set(actuator: Actuator, j_max: int = 256) -> ControllabilityReport:
-    """Enumerate I up to ``j_max`` and attach its exact modular characterization."""
+    """Enumerate I up to ``j_max`` from its exact modular characterization."""
     j_max = int(j_max)
     if j_max < 1:
         raise ValueError("j_max must be at least 1")
-    prefix = tuple(j for j in range(1, j_max + 1) if overlap_is_zero(actuator, j))
-    moduli = tuple((m, (0,)) for m in _residue_moduli(actuator))
+    kept = _residue_moduli(actuator)
+    prefix = tuple(sorted({j for m in kept for j in range(m, j_max + 1, m)}))
+    moduli = tuple((m, (0,)) for m in kept)
     if moduli:
         verdict = VERDICT_NOT_CONTROLLABLE
         subspace = "span{phi_j : " + " and ".join(

@@ -7,10 +7,10 @@ faces of that fact:
 * :func:`is_identically_zero` checks a series against a tolerance on a
   Chebyshev sample of [0, T] (certified tail bounds included), and
 
-* :func:`peel_leading` recovers leading coefficients from samples by the
-  divide-and-peel device: the slowest-decaying exponential dominates at late
-  times, so its coefficient can be fit there, subtracted, and the argument
-  repeated for the next exponent.
+* :func:`peel_leading` recovers leading coefficients from samples: each is
+  fit on the late-time window where its mode dominates every mode left out,
+  and all windowed fits are solved at once as one linear system (the joint
+  least-squares problem when every mode is extracted).
 
 Exponents are assumed known; identifying unknown exponents from data is a
 different problem (Prony-type methods) and out of scope here.
@@ -22,7 +22,7 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -75,10 +75,12 @@ class SampledSignal:
 
 @dataclass(frozen=True)
 class PeelResult:
-    """Recovered ``(coefficient, exponent)`` pairs and the leftover residual."""
+    """Recovered ``(coefficient, exponent)`` pairs, the residual and solve diagnostics."""
 
     recovered: tuple[tuple[float, float], ...]
     residual_norm: float
+    condition: float = field(default=math.nan, compare=False)
+    fallback_windows: tuple[int, ...] = field(default=(), compare=False)
 
 
 def chebyshev_sample(horizon: float, nodes: int) -> np.ndarray:
@@ -116,26 +118,25 @@ def peel_leading(
     known_lambdas: Sequence[float],
     count: int,
     dominance: float = 10.0,
-    max_sweeps: int = 2000,
 ) -> PeelResult:
-    """Estimate the ``count`` slowest coefficients by sequential extraction.
+    """Estimate the ``count`` slowest coefficients by a direct windowed solve.
 
-    Extraction pass: working from the slowest exponent up, each coefficient
-    is fit by least squares on the late-time window where its exponential
-    dominates the next one by at least ``dominance``; the fitted component is
-    subtracted and the next mode extracted, sweeping until the estimates
-    settle.
+    Coefficient ``a_i`` is fit on the window ``W_i`` of samples where mode i
+    dominates the slowest mode *not* extracted by at least ``dominance`` (the
+    last quarter of the samples when that leaves fewer than two). The fits
+    hold jointly when ``M a = r`` with ``d_i(s) = exp(-lambda_i s)``,
+    ``M_ik = sum_{W_i} d_i d_k`` and ``r_i = sum_{W_i} d_i v``, so unmodeled
+    fast modes stay outside every window. A full extraction has no unmodeled
+    mode: every window holds all samples and ``np.linalg.lstsq`` solves the
+    joint least-squares problem.
 
-    Refinement sweeps then repeat the fit-subtract cycle with each window
-    widened to every sample that is safe against the modes *not* being
-    extracted (fitted modes are already handled by subtraction). This keeps
-    partial extraction protected from unmodeled fast modes while letting a
-    full extraction use all the data, which drives the noise amplification of
-    the narrow late-time windows down to the joint least-squares level.
+    ``condition`` is that problem's singular-value ratio, or ``cond(M)`` for a
+    partial extraction (NaN if no mode is solved for); ``fallback_windows``
+    lists the 0-based indices of the modes that used the last-quarter window.
 
     Emits :class:`SeparationWarning` when a consecutive exponent gap is below
-    ``1 / horizon``: the horizon is then too short for the dominance windows
-    to separate those modes.
+    ``1 / horizon``, and when a mode's basis is zero on its window; that
+    mode's coefficient is pinned to 0.
     """
     lams = [_require_finite(l, "exponent") for l in known_lambdas]
     if any(b <= a for a, b in zip(lams, lams[1:])):
@@ -164,52 +165,43 @@ def peel_leading(
     times = signal.time_array
     values = signal.value_array
     design = np.exp(-np.outer(times, np.array(lams[:count])))
-    fallback = max(2, len(times) // 4)
+    full = count == len(lams)
 
-    def window_against(i: int, guard: int) -> np.ndarray:
-        # Samples where mode i beats the slowest mode not subtracted away.
-        if guard >= len(lams):
-            return np.ones(len(times), dtype=bool)
-        selected = times >= math.log(dominance) / (lams[guard] - lams[i])
-        if selected.sum() < 2:
-            selected = np.zeros(len(times), dtype=bool)
-            selected[-fallback:] = True
-        return selected
+    windows = np.ones(design.shape, dtype=bool)
+    if not full:
+        gaps = lams[count] - np.array(lams[:count])
+        windows = times[:, None] >= math.log(dominance) / gaps
+    fallback = np.flatnonzero(windows.sum(axis=0) < 2)
+    windows[:, fallback] = False
+    windows[-max(2, len(times) // 4) :, fallback] = True
 
-    extraction_windows = [window_against(i, i + 1) for i in range(count)]
-    refinement_windows = [window_against(i, count) for i in range(count)]
+    weighted = np.where(windows, design, 0.0)
+    active = np.einsum("si,si->i", weighted, design) != 0.0
+    for i in np.flatnonzero(~active):
+        warnings.warn(
+            f"mode with exponent {lams[i]} carries no signal on its window",
+            SeparationWarning,
+            stacklevel=2,
+        )
 
     estimates = np.zeros(count)
-
-    def sweep_until_settled(windows: list[np.ndarray], budget: int) -> None:
-        for _ in range(budget):
-            previous = estimates.copy()
-            for i in range(count):
-                others = values - design @ estimates + design[:, i] * estimates[i]
-                sel = windows[i]
-                basis = design[sel, i]
-                denom = float(basis @ basis)
-                if denom == 0.0:
-                    warnings.warn(
-                        f"mode with exponent {lams[i]} carries no signal on its window",
-                        SeparationWarning,
-                        stacklevel=3,
-                    )
-                    estimates[i] = 0.0
-                    continue
-                estimates[i] = float(others[sel] @ basis) / denom
-            if np.max(np.abs(estimates - previous)) <= 1e-13 * (
-                1.0 + np.max(np.abs(estimates))
-            ):
-                return
-
-    sweep_until_settled(extraction_windows, 64)
-    sweep_until_settled(refinement_windows, max_sweeps)
+    condition = math.nan
+    if active.any():
+        basis = design[:, active]
+        if full:
+            estimates[active], _, _, singular = np.linalg.lstsq(basis, values, rcond=None)
+            condition = float(singular[0] / singular[-1]) if singular[-1] else math.inf
+        else:
+            system = weighted[:, active].T @ basis
+            estimates[active] = np.linalg.solve(system, weighted[:, active].T @ values)
+            condition = float(np.linalg.cond(system))
 
     residual = values - design @ estimates
     return PeelResult(
         recovered=tuple((float(estimates[i]), lams[i]) for i in range(count)),
         residual_norm=float(np.max(np.abs(residual))),
+        condition=condition,
+        fallback_windows=tuple(int(i) for i in fallback),
     )
 
 

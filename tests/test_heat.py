@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 from scipy.integrate import quad
 
 from expseries.exact import ExactReal, parse
@@ -37,6 +38,20 @@ def random_rational_actuator(rng, max_den: int = 50) -> Actuator:
         b = Fraction(int(pb), int(qb))
         if a < b and b <= 1:
             return Actuator(ExactReal(a), ExactReal(b))
+
+
+@st.composite
+def exact_actuators(draw) -> Actuator:
+    """Endpoints p/q + c*sqrt2 with c in {0, k, -k}: a - b, a + b or neither rational."""
+    k = draw(st.fractions(min_value=-0.25, max_value=0.25, max_denominator=12))
+
+    def endpoint() -> ExactReal:
+        rat = draw(st.fractions(min_value=0, max_value=1, max_denominator=24))
+        return ExactReal(rat, draw(st.sampled_from([Fraction(0), k, -k])), "sqrt2")
+
+    a, b = endpoint(), endpoint()
+    assume(0.0 <= a.to_float() < b.to_float() <= 1.0)
+    return Actuator(a, b)
 
 
 class TestSpectrum:
@@ -159,6 +174,11 @@ class TestBlockedSet:
     def test_document_round_trip(self):
         report = blocked_set(Actuator.from_strings("0", "1/2"), 12)
         assert report_from_document(report_to_document(report)) == report
+
+    @given(act=exact_actuators(), j_max=st.integers(1, 300))
+    def test_prefix_matches_exact_overlap_test(self, act, j_max):
+        expected = tuple(j for j in range(1, j_max + 1) if overlap_is_zero(act, j))
+        assert blocked_set(act, j_max).blocked_prefix == expected
 
 
 class TestDistributed:

@@ -136,6 +136,55 @@ class TestPeelLeading:
         with pytest.warns(SeparationWarning):
             peel_leading(signal, [1.0, 1.05], 2)
 
+    @pytest.mark.parametrize(
+        "alphas, lams, horizon, n_samples, noise",
+        [
+            ([2.0], [1.0], 5.0, 50, 0.0),
+            ([1.0, -0.5], [math.pi**2, 4 * math.pi**2], 1.0, 200, 0.0),
+            ([1.0, 2.0, 3.0], [1.0, 3.0, 5.0], 4.0, 100, 0.0),
+            ([1.5, -0.8, 0.6], [1.0, 2.2, 3.5], 6.0, 400, 1e-4),
+            ([1.5, -0.8, 0.6], [1.0, 2.2, 3.5], 6.0, 400, 1e-8),
+            ([2.0, -1.0], [1.0, 2.5], 5.0, 80, 0.0),
+        ],
+    )
+    def test_full_extraction_is_joint_least_squares(self, alphas, lams, horizon, n_samples, noise):
+        signal = exponential_sum_signal(alphas, lams, horizon, n_samples, noise=noise)
+        result = peel_leading(signal, lams, len(lams))
+        design = np.exp(-np.outer(signal.time_array, lams))
+        reference = np.linalg.lstsq(design, signal.value_array, rcond=None)[0]
+        got = np.array([a for a, _ in result.recovered])
+        assert np.max(np.abs(got - reference)) <= 1e-12 * np.max(np.abs(reference))
+        singular = np.linalg.svd(design, compute_uv=False)
+        assert result.condition == pytest.approx(singular[0] / singular[-1], rel=1e-9)
+        assert result.fallback_windows == ()
+
+    def test_partial_extraction_of_heat_modes_stays_finite(self):
+        # Two of four heat modes: the windowed fits are strongly coupled.
+        lams = [(j * math.pi) ** 2 for j in range(1, 5)]
+        alphas = [1.0, -0.6, 0.4, 0.3]
+        signal = exponential_sum_signal(alphas, lams, 1.0, 300, noise=1e-9)
+        result = peel_leading(signal, lams, 2)
+        got = np.array([a for a, _ in result.recovered])
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - alphas[:2])) < math.fsum(abs(a) for a in alphas)
+        assert math.isfinite(result.condition)
+
+    def test_short_horizon_window_falls_back_to_last_quarter(self):
+        # ln(10) / (5 - 1) > horizon: no sample lies in the dominance window.
+        signal = exponential_sum_signal([2.0, 3.0], [1.0, 5.0], 0.5, 40)
+        result = peel_leading(signal, [1.0, 5.0], 1)
+        assert result.fallback_windows == (0,)
+        assert np.isfinite(result.recovered[0][0])
+
+    def test_mode_without_signal_on_its_window_is_pinned_to_zero(self):
+        # exp(-1000 t) underflows to 0 for every t >= 1.
+        t = np.linspace(1.0, 2.0, 40)
+        signal = SampledSignal(t.tolist(), (2.0 * np.exp(-t)).tolist(), 2.0)
+        with pytest.warns(SeparationWarning, match="no signal"):
+            result = peel_leading(signal, [1.0, 1000.0], 2)
+        assert result.recovered[1] == (0.0, 1000.0)
+        assert result.recovered[0][0] == pytest.approx(2.0, rel=1e-12)
+
     def test_validation(self):
         signal = exponential_sum_signal([1.0], [1.0], 2.0, 10)
         with pytest.raises(ValueError, match="exceeds"):
