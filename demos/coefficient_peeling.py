@@ -2,10 +2,11 @@
 
 A sum that vanishes on an interval has all-zero coefficients, so sampled
 values determine the coefficients once the exponents are known. The peel
-extracts them sequentially, slowest mode first, on late-time windows where
-each exponential dominates the next, then refines. The same machinery powers
-the observability test: a heat mode with zero actuator overlap produces the
-identically-zero sensor signal.
+fits the slowest modes by one least-squares solve on a late-time window where
+the modes left out have decayed below a tenth of the fastest mode extracted;
+with every mode extracted, as here, the window is every sample. The same
+machinery powers the observability test: a heat mode with zero actuator
+overlap produces the identically-zero sensor signal.
 """
 
 import numpy as np

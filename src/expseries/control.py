@@ -338,7 +338,7 @@ def synthesize_distributed(
     if actuator.kind != "distributed":
         raise ValueError("actuator kind must be 'distributed'")
     if not actuator.b.to_float() > actuator.a.to_float():
-        raise ValueError("degenerate actuator: a = b")
+        raise ValueError("actuator endpoints a < b are equal in double precision")
     n_modes = int(n_modes)
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")

@@ -1,10 +1,12 @@
 """Exact arithmetic over numbers of the form ``p/q + (r/s) * xi``.
 
-``xi`` is a single declared irrational constant identified by a tag, e.g.
-``sqrt2``. Values of this shape are closed under addition, subtraction and
-rational scaling, and rationality is decidable exactly: the value is rational
-if and only if the irrational coefficient is zero. That is all the actuator
-endpoint tests require, so no general algebraic-number machinery is built.
+``xi`` is one irrational constant identified by a tag: ``sqrt2``, ``sqrt3``,
+``sqrt5`` or ``pi``. Values of this shape are closed under addition,
+subtraction and rational scaling, and rationality is decidable exactly: the
+value is rational if and only if the irrational coefficient is zero. Signs,
+and with them ``<`` and ``<=``, are decided exactly for the square roots and
+through a rational enclosure for ``pi``. That is all the actuator endpoint
+tests require, so no general algebraic-number machinery is built.
 
 Decimal literals are parsed into exact rationals (``"0.3"`` becomes 3/10);
 floating-point values are never trusted for rationality decisions.
@@ -22,7 +24,8 @@ RationalLike = Union[int, Fraction, str]
 
 # Certified enclosures: one IEEE double on each side of the true value.
 # math.sqrt and math.pi are correctly rounded, so the open interval between
-# the two neighbouring doubles contains the exact constant.
+# the two neighbouring doubles contains the exact constant. ``to_float`` reads
+# the enclosures; ``sign`` reads only the one of ``pi``, as exact fractions.
 
 
 def _double_enclosure(value: float) -> tuple[float, float]:
@@ -35,28 +38,11 @@ _ENCLOSURES: dict[str, tuple[float, float]] = {
     "sqrt5": _double_enclosure(math.sqrt(5.0)),
     "pi": _double_enclosure(math.pi),
 }
+_RADICANDS = {"sqrt2": 2, "sqrt3": 3, "sqrt5": 5}
 
 
-def register_irrational(tag: str, low: float, high: float) -> None:
-    """Declare a new irrational tag with a certified enclosure ``(low, high)``.
-
-    Re-registering a tag with the same enclosure is a no-op; changing an
-    existing enclosure is rejected.
-    """
-    if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tag):
-        raise ValueError(f"invalid irrational tag {tag!r}")
-    low = float(low)
-    high = float(high)
-    if not (math.isfinite(low) and math.isfinite(high) and low < high):
-        raise ValueError("enclosure must be a finite nonempty interval (low < high)")
-    known = _ENCLOSURES.get(tag)
-    if known is not None and known != (low, high):
-        raise ValueError(f"tag {tag!r} already registered with a different enclosure")
-    _ENCLOSURES[tag] = (low, high)
-
-
-def known_irrationals() -> tuple[str, ...]:
-    return tuple(sorted(_ENCLOSURES))
+def _sign(value: Fraction) -> int:
+    return (value > 0) - (value < 0)
 
 
 _RAT_RE = re.compile(r"[+-]?(?:\d+\.\d+|\d+(?:/\d+)?)")
@@ -84,7 +70,7 @@ def _as_fraction(value: RationalLike) -> Fraction:
 class ExactReal:
     """A number ``rat + irr * xi`` with exact rational parts.
 
-    ``tag`` names the irrational ``xi`` and must be registered; it is dropped
+    ``tag`` names the irrational ``xi`` and must be a known tag; it is dropped
     whenever ``irr`` cancels to zero, so equality and ``is_rational`` are
     exact structural decisions.
     """
@@ -136,19 +122,42 @@ class ExactReal:
     def is_rational(self) -> bool:
         return self.irr == 0
 
-    def enclosure(self) -> tuple[float, float]:
-        """A floating interval containing the value (up to double rounding)."""
-        base = float(self.rat)
+    def sign(self) -> int:
+        """The exact sign, -1, 0 or 1.
+
+        For ``sqrtN`` the larger of ``|rat|`` and ``|irr| * sqrt(N)`` wins,
+        compared exactly as ``rat**2`` against ``irr**2 * N``. For ``pi`` the
+        value is bounded through the rational enclosure of the constant;
+        raises ``ValueError`` when that interval contains 0.
+        """
         if self.irr == 0:
-            return (base, base)
-        low, high = _ENCLOSURES[self.tag]  # type: ignore[index]
-        coeff = float(self.irr)
-        ends = (base + coeff * low, base + coeff * high)
-        return (min(ends), max(ends))
+            return _sign(self.rat)
+        if self.tag in _RADICANDS:
+            rat_wins = self.rat * self.rat > self.irr * self.irr * _RADICANDS[self.tag]
+            return _sign(self.rat) if rat_wins else _sign(self.irr)
+        ends = (self.rat + self.irr * Fraction(x) for x in _ENCLOSURES[self.tag])  # type: ignore[index]
+        low, high = sorted(ends)
+        if low > 0:
+            return 1
+        if high < 0:
+            return -1
+        raise ValueError(f"the sign of {self} is not decided by the enclosure of {self.tag}")
+
+    def __lt__(self, other: object) -> bool:
+        return (self - self._coerce(other)).sign() < 0
+
+    def __le__(self, other: object) -> bool:
+        return (self - self._coerce(other)).sign() <= 0
 
     def to_float(self) -> float:
-        low, high = self.enclosure()
-        return 0.5 * (low + high)
+        """The value as a double: the midpoint of its enclosure through the
+        neighbouring doubles of its irrational constant."""
+        base = float(self.rat)
+        if self.irr == 0:
+            return base
+        low, high = _ENCLOSURES[self.tag]  # type: ignore[index]
+        coeff = float(self.irr)
+        return 0.5 * ((base + coeff * low) + (base + coeff * high))
 
     def __float__(self) -> float:
         return self.to_float()

@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+
 import numpy as np
 
 from .exact import ExactReal
@@ -68,9 +70,8 @@ class Actuator:
             raise ValueError("kind must be 'lumped' or 'distributed'")
         if not isinstance(self.a, ExactReal) or not isinstance(self.b, ExactReal):
             raise TypeError("endpoints must be ExactReal values")
-        fa, fb = self.a.to_float(), self.b.to_float()
-        if not (0.0 <= fa < fb <= 1.0):
-            raise ValueError(f"need 0 <= a < b <= 1, got a={fa}, b={fb}")
+        if not (ExactReal(0) <= self.a < self.b <= 1):
+            raise ValueError(f"need 0 <= a < b <= 1, got a={self.a}, b={self.b}")
 
     @classmethod
     def from_strings(cls, a: str, b: str, kind: str = "lumped") -> "Actuator":
@@ -78,6 +79,21 @@ class Actuator:
 
     def describe(self) -> str:
         return f"omega=({self.a}, {self.b})"
+
+    @cached_property
+    def blocked_moduli(self) -> tuple[int, ...]:
+        """The coarsest moduli m with beta_j = 0 iff some m divides j (see the module docstring)."""
+        moduli = set()
+        for combination in (self.a - self.b, self.a + self.b):
+            if combination.is_rational:
+                p, q = combination.rat.numerator, combination.rat.denominator
+                moduli.add(q if p % 2 == 0 else 2 * q)
+        # Drop residue classes already contained in a coarser one.
+        reduced: list[int] = []
+        for m in sorted(moduli):
+            if not any(m % kept == 0 for kept in reduced):
+                reduced.append(m)
+        return tuple(reduced)
 
 
 def overlap(actuator: Actuator, j: int) -> float:
@@ -96,7 +112,9 @@ def overlap_is_zero(actuator: Actuator, j: int) -> bool:
     """Exact vanishing test: beta_j = 0 iff j(a-b) or j(a+b) is an even integer.
 
     Decided in exact arithmetic; any irrational part makes the product
-    irrational, hence never an even integer.
+    irrational, hence never an even integer. The library decides vanishing
+    from :attr:`Actuator.blocked_moduli`; this direct test is the oracle the
+    tests compare it against.
     """
     j = _check_mode(j)
     for combination in (actuator.a - actuator.b, actuator.a + actuator.b):
@@ -112,7 +130,8 @@ def coupling_coefficient(actuator: Actuator, j: int) -> float:
     floating point; simulation and synthesis need blocked modes to carry a
     coupling of exactly zero.
     """
-    if overlap_is_zero(actuator, j):
+    j = _check_mode(j)
+    if any(j % m == 0 for m in actuator.blocked_moduli):
         return 0.0
     return overlap(actuator, j)
 
@@ -148,28 +167,12 @@ class ControllabilityReport:
         return any(j % modulus in residues for modulus, residues in self.moduli)
 
 
-def _residue_moduli(actuator: Actuator) -> list[int]:
-    moduli = []
-    for combination in (actuator.a - actuator.b, actuator.a + actuator.b):
-        if not combination.is_rational:
-            continue
-        p = combination.rat.numerator
-        q = combination.rat.denominator
-        moduli.append(q if p % 2 == 0 else 2 * q)
-    # Drop residue classes already contained in a coarser one.
-    reduced = []
-    for m in sorted(set(moduli)):
-        if not any(m % kept == 0 for kept in reduced):
-            reduced.append(m)
-    return reduced
-
-
 def blocked_set(actuator: Actuator, j_max: int = 256) -> ControllabilityReport:
     """Enumerate I up to ``j_max`` from its exact modular characterization."""
     j_max = int(j_max)
     if j_max < 1:
         raise ValueError("j_max must be at least 1")
-    kept = _residue_moduli(actuator)
+    kept = actuator.blocked_moduli
     prefix = tuple(sorted({j for m in kept for j in range(m, j_max + 1, m)}))
     moduli = tuple((m, (0,)) for m in kept)
     if moduli:
@@ -199,7 +202,7 @@ def distributed_controllability(actuator: Actuator, j_check: int = 8) -> Control
     if actuator.kind != "distributed":
         raise ValueError("actuator kind must be 'distributed'")
     if not actuator.b.to_float() > actuator.a.to_float():
-        raise ValueError("degenerate actuator: a = b")
+        raise ValueError("actuator endpoints a < b are equal in double precision")
     for j in range(1, int(j_check) + 1):
         witness = mode_energy(actuator, j)
         if not witness > 0.0:
@@ -213,17 +216,6 @@ def distributed_controllability(actuator: Actuator, j_check: int = 8) -> Control
         j_max=int(j_check),
         subspace="all modes (V = H)",
     )
-
-
-def rectangle_eigenvalues_repeat(ratio: ExactReal) -> bool:
-    """Whether a rectangle with the given aspect ratio has repeated eigenvalues.
-
-    A rational aspect ratio forces eigenvalue collisions for the Dirichlet
-    Laplacian on a rectangle, so an irrational ratio is necessary for a
-    simple spectrum. Only this declared-ratio test is provided; no
-    two-dimensional spectrum is built.
-    """
-    return ratio.is_rational
 
 
 # ---------------------------------------------------------------------------

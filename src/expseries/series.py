@@ -11,7 +11,7 @@ a rigorous bound on the omitted tail contribution, so downstream consumers
 (Taylor expansion, vanishing tests) stay fully certified.
 
 Terms are kept sorted by strictly increasing exponent; duplicate exponents
-are rejected at construction (see :func:`merge` for explicit combination).
+are rejected at construction.
 Sums are accumulated with error-free-transformation summation (``math.fsum``)
 in increasing-exponent order.
 """
@@ -133,9 +133,7 @@ class DirichletSeries:
         cleaned.sort(key=lambda item: item[1])
         for (_, left), (_, right) in zip(cleaned, cleaned[1:]):
             if left == right:
-                raise ValueError(
-                    f"duplicate exponent {left!r}; combine terms explicitly with merge()"
-                )
+                raise ValueError(f"duplicate exponent {left!r}")
         if tail is not None and not isinstance(tail, TailModel):
             raise TypeError("tail must be a TailModel or None")
         object.__setattr__(self, "terms", tuple(cleaned))
@@ -233,30 +231,6 @@ def antiderivative_reduce(series: DirichletSeries, k: int) -> DirichletSeries:
         weighted[0] = new_sum
         tail = TailModel(new_sum, tail.lambda_floor, tuple(weighted.items()))
     return DirichletSeries(zip(coeffs, lams), tail)
-
-
-def merge(first: DirichletSeries, second: DirichletSeries) -> DirichletSeries:
-    """Combine two series, adding coefficients on exactly equal exponents."""
-    combined: dict[float, float] = {}
-    for alpha, lam in first.terms + second.terms:
-        combined[lam] = combined.get(lam, 0.0) + alpha
-    tails = [tail for tail in (first.tail, second.tail) if tail is not None]
-    if not tails:
-        tail = None
-    elif len(tails) == 1:
-        tail = tails[0]
-    else:
-        one, two = tails
-        orders = {k for k, _ in one.weighted_bounds} | {k for k, _ in two.weighted_bounds}
-        weighted = {
-            k: one.weighted_sum_bound(k) + two.weighted_sum_bound(k) for k in orders
-        }
-        tail = TailModel(
-            one.sum_bound + two.sum_bound,
-            min(one.lambda_floor, two.lambda_floor),
-            tuple(weighted.items()),
-        )
-    return DirichletSeries([(alpha, lam) for lam, alpha in sorted(combined.items())], tail)
 
 
 # ---------------------------------------------------------------------------

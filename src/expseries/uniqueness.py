@@ -7,10 +7,10 @@ faces of that fact:
 * :func:`is_identically_zero` checks a series against a tolerance on a
   Chebyshev sample of [0, T] (certified tail bounds included), and
 
-* :func:`peel_leading` recovers leading coefficients from samples: each is
-  fit on the late-time window where its mode dominates every mode left out,
-  and all windowed fits are solved at once as one linear system (the joint
-  least-squares problem when every mode is extracted).
+* :func:`peel_leading` recovers leading coefficients from samples by one
+  least-squares fit on a late-time window shared by every extracted mode,
+  where the slowest mode left out has decayed below a tenth of the fastest
+  mode extracted (the whole sample when every mode is extracted).
 
 Exponents are assumed known; identifying unknown exponents from data is a
 different problem (Prony-type methods) and out of scope here.
@@ -117,25 +117,24 @@ def peel_leading(
     signal: SampledSignal,
     known_lambdas: Sequence[float],
     count: int,
-    dominance: float = 10.0,
 ) -> PeelResult:
-    """Estimate the ``count`` slowest coefficients by a direct windowed solve.
+    """Estimate the ``count`` slowest coefficients by one windowed least-squares solve.
 
-    Coefficient ``a_i`` is fit on the window ``W_i`` of samples where mode i
-    dominates the slowest mode *not* extracted by at least ``dominance`` (the
-    last quarter of the samples when that leaves fewer than two). The fits
-    hold jointly when ``M a = r`` with ``d_i(s) = exp(-lambda_i s)``,
-    ``M_ik = sum_{W_i} d_i d_k`` and ``r_i = sum_{W_i} d_i v``, so unmodeled
-    fast modes stay outside every window. A full extraction has no unmodeled
-    mode: every window holds all samples and ``np.linalg.lstsq`` solves the
-    joint least-squares problem.
+    All extracted modes share one late window ``t >= ln(10) / (lambda_{count+1}
+    - lambda_count)``, where the slowest mode left out is at most a tenth of
+    the fastest one extracted; ``np.linalg.lstsq`` fits
+    ``sum_i a_i exp(-lambda_i t)`` to the samples in it. When that window
+    holds fewer than ``2 * count`` samples, the last quarter of the samples
+    (at least ``2 * count``) is used instead. A full extraction leaves no mode
+    out, so its window is every sample and the solve is the joint
+    least-squares problem.
 
-    ``condition`` is that problem's singular-value ratio, or ``cond(M)`` for a
-    partial extraction (NaN if no mode is solved for); ``fallback_windows``
-    lists the 0-based indices of the modes that used the last-quarter window.
+    ``condition`` is the singular-value ratio of the windowed design (NaN if
+    no mode is solved for); ``fallback_windows`` lists the 0-based indices of
+    the modes fit on the last-quarter window: every extracted mode, or none.
 
     Emits :class:`SeparationWarning` when a consecutive exponent gap is below
-    ``1 / horizon``, and when a mode's basis is zero on its window; that
+    ``1 / horizon``, and when a mode's basis is zero on the window; that
     mode's coefficient is pinned to 0.
     """
     lams = [_require_finite(l, "exponent") for l in known_lambdas]
@@ -148,8 +147,6 @@ def peel_leading(
         raise ValueError(f"count={count} exceeds the {len(lams)} known exponents")
     if len(signal) < 2 * count:
         raise ValueError(f"need at least {2 * count} samples to extract {count} modes")
-    if dominance <= 1:
-        raise ValueError("dominance must exceed 1")
 
     horizon = signal.horizon
     relevant = lams[: min(count + 1, len(lams))]
@@ -164,19 +161,17 @@ def peel_leading(
 
     times = signal.time_array
     values = signal.value_array
+    start = 0
+    fallback: tuple[int, ...] = ()
+    if count < len(lams):
+        start = int(np.searchsorted(times, math.log(10.0) / (lams[count] - lams[count - 1])))
+        if len(times) - start < 2 * count:
+            start = len(times) - max(2 * count, len(times) // 4)
+            fallback = tuple(range(count))
+
     design = np.exp(-np.outer(times, np.array(lams[:count])))
-    full = count == len(lams)
-
-    windows = np.ones(design.shape, dtype=bool)
-    if not full:
-        gaps = lams[count] - np.array(lams[:count])
-        windows = times[:, None] >= math.log(dominance) / gaps
-    fallback = np.flatnonzero(windows.sum(axis=0) < 2)
-    windows[:, fallback] = False
-    windows[-max(2, len(times) // 4) :, fallback] = True
-
-    weighted = np.where(windows, design, 0.0)
-    active = np.einsum("si,si->i", weighted, design) != 0.0
+    basis = design[start:]
+    active = np.einsum("si,si->i", basis, basis) != 0.0
     for i in np.flatnonzero(~active):
         warnings.warn(
             f"mode with exponent {lams[i]} carries no signal on its window",
@@ -187,21 +182,17 @@ def peel_leading(
     estimates = np.zeros(count)
     condition = math.nan
     if active.any():
-        basis = design[:, active]
-        if full:
-            estimates[active], _, _, singular = np.linalg.lstsq(basis, values, rcond=None)
-            condition = float(singular[0] / singular[-1]) if singular[-1] else math.inf
-        else:
-            system = weighted[:, active].T @ basis
-            estimates[active] = np.linalg.solve(system, weighted[:, active].T @ values)
-            condition = float(np.linalg.cond(system))
+        estimates[active], _, _, singular = np.linalg.lstsq(
+            basis[:, active], values[start:], rcond=None
+        )
+        condition = float(singular[0] / singular[-1]) if singular[-1] else math.inf
 
     residual = values - design @ estimates
     return PeelResult(
         recovered=tuple((float(estimates[i]), lams[i]) for i in range(count)),
         residual_norm=float(np.max(np.abs(residual))),
         condition=condition,
-        fallback_windows=tuple(int(i) for i in fallback),
+        fallback_windows=fallback,
     )
 
 

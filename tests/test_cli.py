@@ -93,6 +93,13 @@ class TestControlCommands:
         assert code == 0
         assert json.loads(out)["verdict"] == "controllable"
 
+    def test_analyze_endpoints_closer_than_a_double(self, capsys):
+        code, out = run(
+            capsys, "control", "analyze", "--a=-1+1*sqrt2", "--b", "38613965/93222358"
+        )
+        assert code == 0
+        assert json.loads(out)["verdict"] == "controllable"
+
     def test_synthesize_then_simulate(self, tmp_path, capsys):
         ctrl = tmp_path / "control.json"
         code = main(

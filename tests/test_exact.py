@@ -1,9 +1,11 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, strategies as st
 
-from expseries.exact import ExactReal, known_irrationals, parse, register_irrational
+from expseries.exact import ExactReal, parse
 
 
 class TestArithmetic:
@@ -80,15 +82,60 @@ class TestConversion:
     def test_enclosure_ordering(self):
         small = parse("1/2*sqrt2")
         large = parse("3/4 + 1/2*sqrt2")
-        assert small.enclosure()[1] < large.enclosure()[0]
+        assert small < large and small <= large
+        assert not large < small and not large <= small
         assert small.to_float() < large.to_float()
 
     def test_negative_coefficient_enclosure(self):
+        # -1/2 < 1 - sqrt2 < -2/5, since 1.4 < sqrt2 < 1.5.
         x = parse("1 - 1*sqrt2")
-        low, high = x.enclosure()
-        assert low < 1 - math.sqrt(2) + 1e-12
-        assert high > 1 - math.sqrt(2) - 1e-12
-        assert low <= high
+        assert x.sign() == -1
+        assert parse("-1/2") < x < parse("-2/5")
+        assert x.to_float() == pytest.approx(1 - math.sqrt(2), abs=1e-15)
+
+
+class TestOrder:
+    def test_sign_of_square_root_values_is_exact(self):
+        # 131836323**2 - 2 * 93222358**2 = 1, so sqrt2 - 1 falls short of
+        # 38613965/93222358 by about 4e-17, below the spacing of doubles there.
+        gap = parse("-1+1*sqrt2") - parse("38613965/93222358")
+        assert gap.to_float() == 0.0
+        assert gap.sign() == -1
+        assert (-gap).sign() == 1
+        assert ExactReal(0).sign() == 0
+        assert parse("-1 + 1/2*sqrt3").sign() == -1
+        assert parse("-3 + 3/2*sqrt5").sign() == 1
+
+    @given(
+        rat=st.fractions(min_value=-4, max_value=4, max_denominator=10**9),
+        irr=st.fractions(min_value=-4, max_value=4, max_denominator=10**9),
+        radicand=st.sampled_from([2, 3, 5]),
+    )
+    def test_sign_matches_high_precision(self, rat, irr, radicand):
+        x = ExactReal(rat, irr, f"sqrt{radicand}")
+        with mpmath.workdps(80):
+            value = mpmath.mpf(rat.numerator) / rat.denominator + mpmath.mpf(
+                irr.numerator
+            ) / irr.denominator * mpmath.sqrt(radicand)
+            assert x.sign() == int(mpmath.sign(value))
+
+    def test_order_is_equality_aware(self):
+        x = parse("1/4 + 1/2*sqrt2")
+        assert x <= x and not x < x
+        assert parse("1/3") < 1 and ExactReal(1) <= 1
+
+    def test_pi_sign_from_rational_enclosure(self):
+        assert (parse("1*pi") - 3).sign() == 1
+        assert (parse("1*pi") - parse("22/7")).sign() == -1
+        assert parse("-1*pi") < parse("-3")
+
+    def test_pi_sign_raises_when_undecided(self):
+        # pi - fl(pi) is about 1.2e-16: the enclosure of pi straddles fl(pi).
+        x = ExactReal(-Fraction(math.pi), Fraction(1), "pi")
+        with pytest.raises(ValueError, match="not decided"):
+            x.sign()
+        with pytest.raises(ValueError, match="not decided"):
+            x < 0
 
 
 class TestParsing:
@@ -125,18 +172,6 @@ class TestParsing:
 
 class TestRegistry:
     def test_builtins_present(self):
-        assert {"sqrt2", "sqrt3", "sqrt5", "pi"} <= set(known_irrationals())
-
-    def test_register_custom(self):
-        register_irrational("golden", 1.618033988749894, 1.618033988749895)
-        x = parse("1*golden")
-        assert not x.is_rational
-        assert x.to_float() == pytest.approx((1 + math.sqrt(5)) / 2, abs=1e-14)
-
-    def test_conflicting_registration_rejected(self):
-        with pytest.raises(ValueError, match="different enclosure"):
-            register_irrational("sqrt2", 1.0, 2.0)
-
-    def test_bad_enclosure_rejected(self):
-        with pytest.raises(ValueError):
-            register_irrational("backwards", 2.0, 1.0)
+        for tag in ("sqrt2", "sqrt3", "sqrt5", "pi"):
+            x = parse(f"1/2 + 1*{tag}")
+            assert x.tag == tag and not x.is_rational

@@ -17,7 +17,6 @@ from expseries.heat import (
     mode_energy,
     overlap,
     overlap_is_zero,
-    rectangle_eigenvalues_repeat,
     report_from_document,
     report_to_document,
 )
@@ -50,7 +49,7 @@ def exact_actuators(draw) -> Actuator:
         return ExactReal(rat, draw(st.sampled_from([Fraction(0), k, -k])), "sqrt2")
 
     a, b = endpoint(), endpoint()
-    assume(0.0 <= a.to_float() < b.to_float() <= 1.0)
+    assume(ExactReal(0) <= a < b <= 1)
     return Actuator(a, b)
 
 
@@ -144,6 +143,11 @@ class TestOverlapIsZero:
         assert coupling_coefficient(act, 2) == 0.0
         assert coupling_coefficient(act, 1) == overlap(act, 1)
 
+    @given(act=exact_actuators())
+    def test_coupling_zero_iff_exact_overlap_zero(self, act):
+        for j in range(1, 65):
+            assert (coupling_coefficient(act, j) == 0.0) == overlap_is_zero(act, j)
+
 
 class TestBlockedSet:
     def test_half_domain_report(self):
@@ -222,14 +226,15 @@ class TestActuator:
         with pytest.raises(ValueError, match="0 <= a < b <= 1"):
             Actuator.from_strings("1/2", "2")
 
+    def test_endpoint_order_decided_exactly(self):
+        # sqrt2 - 1 < 38613965/93222358 by about 4e-17, and both endpoints
+        # round to neighbouring doubles in the opposite order.
+        a, b = "-1+1*sqrt2", "38613965/93222358"
+        act = Actuator.from_strings(a, b)
+        assert act.a < act.b
+        with pytest.raises(ValueError, match="0 <= a < b <= 1"):
+            Actuator.from_strings(b, a)
+
     def test_kind_validated(self):
         with pytest.raises(ValueError, match="kind"):
             Actuator.from_strings("0", "1", kind="boundary")
-
-
-class TestRectangleHelper:
-    def test_rational_ratio_repeats(self):
-        assert rectangle_eigenvalues_repeat(parse("2/3"))
-
-    def test_irrational_ratio_does_not_force_repeats(self):
-        assert not rectangle_eigenvalues_repeat(parse("1*sqrt2"))

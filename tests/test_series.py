@@ -11,7 +11,6 @@ from expseries.series import (
     evaluate,
     from_document,
     loads,
-    merge,
     shift_normalize,
     to_document,
 )
@@ -77,7 +76,7 @@ class TestEvaluate:
         for _ in range(10):
             s1 = random_series(rng, max_terms=10, lam_range=(0.1, 10.0))
             s2 = random_series(rng, max_terms=10, lam_range=(11.0, 30.0))
-            combined = merge(s1, s2)
+            combined = DirichletSeries(s1.terms + s2.terms)
             for t in (0.0, 0.3, 1.7):
                 lhs = evaluate(combined, t).value
                 rhs = evaluate(s1, t).value + evaluate(s2, t).value
@@ -102,12 +101,6 @@ class TestConstruction:
             DirichletSeries([(math.inf, 1.0)])
         with pytest.raises(ValueError):
             DirichletSeries([(1.0, math.nan)])
-
-    def test_merge_combines_equal_exponents(self):
-        s1 = DirichletSeries([(1.0, 1.0), (2.0, 2.0)])
-        s2 = DirichletSeries([(3.0, 2.0)])
-        merged = merge(s1, s2)
-        assert merged.terms == ((1.0, 1.0), (5.0, 2.0))
 
 
 class TestTailModel:

@@ -169,12 +169,60 @@ class TestPeelLeading:
         assert np.max(np.abs(got - alphas[:2])) < math.fsum(abs(a) for a in alphas)
         assert math.isfinite(result.condition)
 
+    @pytest.mark.parametrize("horizon, n_samples", [(1.0, 300), (0.6, 240)])
+    def test_partial_extraction_of_two_heat_modes_is_accurate(self, horizon, n_samples):
+        # At t >= ln(10) / (16 - 9) pi^2 the third mode is at most a tenth of
+        # the second, which bounds how far it can pull the fit.
+        lams = [(j * math.pi) ** 2 for j in range(1, 5)]
+        alphas = [1.0, -0.6, 0.4, 0.3]
+        signal = exponential_sum_signal(alphas, lams, horizon, n_samples, noise=1e-9)
+        result = peel_leading(signal, lams, 2)
+        got = np.array([a for a, _ in result.recovered])
+        assert np.max(np.abs(got - alphas[:2])) <= 0.05
+        assert result.fallback_windows == ()
+
+    @pytest.mark.parametrize(
+        "alphas, lams, horizon, n_samples, count",
+        [
+            ([1.0, -0.6, 0.4, 0.3], [(j * math.pi) ** 2 for j in range(1, 5)], 1.0, 300, 2),
+            ([1.0, -0.6, 0.4, 0.3], [(j * math.pi) ** 2 for j in range(1, 5)], 0.6, 240, 3),
+            ([2.0, 3.0], [1.0, 5.0], 6.0, 400, 1),
+            ([1.5, -0.8, 0.6], [1.0, 2.2, 3.5], 6.0, 400, 2),
+        ],
+    )
+    def test_partial_extraction_is_least_squares_on_shared_window(
+        self, alphas, lams, horizon, n_samples, count
+    ):
+        signal = exponential_sum_signal(alphas, lams, horizon, n_samples, noise=1e-9)
+        result = peel_leading(signal, lams, count)
+        t = signal.time_array
+        window = t >= math.log(10.0) / (lams[count] - lams[count - 1])
+        design = np.exp(-np.outer(t[window], lams[:count]))
+        reference = np.linalg.lstsq(design, signal.value_array[window], rcond=None)[0]
+        got = np.array([a for a, _ in result.recovered])
+        assert np.max(np.abs(got - reference)) <= 1e-12 * np.max(np.abs(reference))
+        singular = np.linalg.svd(design, compute_uv=False)
+        assert result.condition == pytest.approx(singular[0] / singular[-1], rel=1e-9)
+
     def test_short_horizon_window_falls_back_to_last_quarter(self):
         # ln(10) / (5 - 1) > horizon: no sample lies in the dominance window.
         signal = exponential_sum_signal([2.0, 3.0], [1.0, 5.0], 0.5, 40)
         result = peel_leading(signal, [1.0, 5.0], 1)
         assert result.fallback_windows == (0,)
         assert np.isfinite(result.recovered[0][0])
+
+    def test_window_with_fewer_than_two_samples_per_mode_falls_back(self):
+        # ln(10) / (10 - 2) = 0.288: only the last 3 of 60 samples lie in the
+        # shared window, fewer than 2 per extracted mode.
+        lams = [1.0, 2.0, 10.0]
+        signal = exponential_sum_signal([1.0, -0.5, 0.2], lams, 0.3, 60)
+        with pytest.warns(SeparationWarning, match="gaps"):
+            result = peel_leading(signal, lams, 2)
+        assert result.fallback_windows == (0, 1)
+        design = np.exp(-np.outer(signal.time_array[-15:], lams[:2]))
+        reference = np.linalg.lstsq(design, signal.value_array[-15:], rcond=None)[0]
+        got = np.array([a for a, _ in result.recovered])
+        assert np.max(np.abs(got - reference)) <= 1e-12 * np.max(np.abs(reference))
 
     def test_mode_without_signal_on_its_window_is_pinned_to_zero(self):
         # exp(-1000 t) underflows to 0 for every t >= 1.
