@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from typing import Callable
 
 import numpy as np
@@ -36,34 +37,45 @@ def exp_integral_grid(rates: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_GL_TOL = 1e-10
+_GL_MAX_DEPTH = 48
 
 
-def _gl_panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
+def _gl_panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> np.ndarray:
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    return half * float(np.dot(_GL_WEIGHTS, f(mid + half * _GL_NODES)))
+    values = f(mid + half * _GL_NODES)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("control values must be finite")
+    return half * (_GL_WEIGHTS @ values)
 
 
 def adaptive_gauss_legendre(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-    max_depth: int = 48,
-) -> float:
+    f: Callable[[np.ndarray], np.ndarray], a: float, b: float
+) -> np.ndarray:
     """Adaptive panel-splitting Gauss-Legendre quadrature (16-node panels).
 
-    ``f`` must accept a numpy array of evaluation points. A panel is accepted
-    when its value agrees with the sum of its two halves to within ``tol``.
+    ``f`` maps the 16 nodes of a panel to an array whose first axis runs over
+    the nodes; the trailing axes are integrated together, so one call per
+    panel serves a vector of integrands. A panel is accepted when its value
+    agrees with the sum of its two halves to within 1e-10 in every
+    component. Non-finite integrand values raise ``ValueError``. A panel
+    still rejected after 48 halvings is accepted with a ``RuntimeWarning``
+    that names its interval.
     """
-    if a == b:
-        return 0.0
 
-    def recurse(lo: float, hi: float, whole: float, depth: int) -> float:
+    def recurse(lo: float, hi: float, whole: np.ndarray, depth: int) -> np.ndarray:
         mid = 0.5 * (lo + hi)
         left = _gl_panel(f, lo, mid)
         right = _gl_panel(f, mid, hi)
-        if depth >= max_depth or abs(left + right - whole) <= tol:
+        if np.max(np.abs(left + right - whole)) <= _GL_TOL:
+            return left + right
+        if depth >= _GL_MAX_DEPTH:
+            warnings.warn(
+                f"quadrature on [{lo!r}, {hi!r}] missed tolerance {_GL_TOL} "
+                f"after {_GL_MAX_DEPTH} halvings",
+                RuntimeWarning,
+            )
             return left + right
         return recurse(lo, mid, left, depth + 1) + recurse(mid, hi, right, depth + 1)
 

@@ -51,6 +51,30 @@ def _actuator(args, default_kind: str = "lumped") -> heat.Actuator:
     return heat.Actuator.from_strings(args.a, args.b, kind)
 
 
+# argparse already reads these as values; anything else that starts with "-"
+# it reads as an option.
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
+
+
+def _attach_endpoints(argv: list[str]) -> list[str]:
+    # An exact endpoint such as -1+1*sqrt2 after --a/--b is joined into the
+    # --a=VALUE form, so argparse takes it as the value and both spellings
+    # give the same bytes.
+    joined: list[str] = []
+    for token in argv:
+        if (
+            joined
+            and joined[-1] in ("--a", "--b")
+            and token.startswith("-")
+            and not token.startswith("--")
+            and not _NEGATIVE_NUMBER.fullmatch(token)
+        ):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def _echoable(argv: list[str]) -> list[str]:
     # The output destination is not part of the computation; dropping it keeps
     # runs writing to different paths byte-identical.
@@ -275,7 +299,7 @@ def _apply_config(args) -> None:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
+    argv = _attach_endpoints(list(sys.argv[1:]) if argv is None else list(argv))
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

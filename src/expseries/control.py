@@ -152,13 +152,6 @@ class ControlFunction:
             out = out + c * np.exp(nu * (self.horizon - s))
         return out
 
-    def mode_profile(self, i: int, s) -> np.ndarray:
-        """Per-mode channel u_i(s) of a distributed control (i is 0-based)."""
-        if self.kind != "distributed":
-            raise ValueError("mode_profile() applies to distributed controls")
-        s = np.asarray(s, dtype=float)
-        return self.coeffs[i] * np.exp(self.exponents[i] * (self.horizon - s))
-
 
 def gram_matrix(exponents: Sequence[float], horizon: float) -> np.ndarray:
     """Gram matrix of the kernels ``exp(mu_k (T - s))`` on [0, T]."""
@@ -371,27 +364,6 @@ def synthesize_distributed(
 # ---------------------------------------------------------------------------
 # Structured-text documents
 # ---------------------------------------------------------------------------
-
-
-def profile_to_csv(control: ControlFunction, samples: int = 65) -> str:
-    """CSV of the control on a uniform grid: rows ``s,u`` for lumped controls,
-    one column per mode channel for distributed ones."""
-    samples = int(samples)
-    if samples < 2:
-        raise ValueError("samples must be at least 2")
-    grid = np.linspace(0.0, control.horizon, samples)
-    if control.kind == "lumped":
-        values = control.profile(grid)
-        lines = ["s,u"]
-        lines += [f"{float(s)!r},{float(u)!r}" for s, u in zip(grid, values)]
-    else:
-        n = len(control.coeffs)
-        lines = ["s," + ",".join(f"u_{i + 1}" for i in range(n))]
-        columns = [control.mode_profile(i, grid) for i in range(n)]
-        for row, s in enumerate(grid):
-            cells = ",".join(repr(float(col[row])) for col in columns)
-            lines.append(f"{float(s)!r},{cells}")
-    return "\n".join(lines) + "\n"
 
 
 def control_to_document(control: ControlFunction) -> dict:

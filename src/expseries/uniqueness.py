@@ -197,22 +197,8 @@ def peel_leading(
 
 
 # ---------------------------------------------------------------------------
-# Structured-text and CSV round trips
+# CSV export
 # ---------------------------------------------------------------------------
-
-
-def peel_result_to_document(result: PeelResult) -> dict:
-    return {
-        "recovered": [[alpha, lam] for alpha, lam in result.recovered],
-        "residualNorm": result.residual_norm,
-    }
-
-
-def peel_result_from_document(doc: dict) -> PeelResult:
-    return PeelResult(
-        recovered=tuple((float(a), float(l)) for a, l in doc["recovered"]),
-        residual_norm=float(doc["residualNorm"]),
-    )
 
 
 def signal_to_csv(signal: SampledSignal) -> str:
@@ -222,16 +208,3 @@ def signal_to_csv(signal: SampledSignal) -> str:
     for t, v in zip(signal.times, signal.values):
         writer.writerow([repr(t), repr(v)])
     return out.getvalue()
-
-
-def signal_from_csv(text: str, horizon: float | None = None) -> SampledSignal:
-    times: list[float] = []
-    values: list[float] = []
-    for row in csv.reader(io.StringIO(text)):
-        if not row or row[0].startswith("#") or row[0] == "t":
-            continue
-        times.append(float(row[0]))
-        values.append(float(row[1]))
-    if horizon is None:
-        horizon = times[-1] if times else 1.0
-    return SampledSignal(times, values, horizon)

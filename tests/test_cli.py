@@ -100,6 +100,24 @@ class TestControlCommands:
         assert code == 0
         assert json.loads(out)["verdict"] == "controllable"
 
+    @pytest.mark.parametrize(
+        "command", [["analyze"], ["observability", "--y", "phi1", "--T", "1", "--samples", "3"]]
+    )
+    def test_endpoint_starting_with_minus_as_separate_value(self, capsys, command):
+        pair = ["--b", "38613965/93222358"]
+        code, out = run(capsys, "control", *command, "--a", "-1+1*sqrt2", *pair)
+        assert code == 0
+        assert (code, out) == run(capsys, "control", *command, "--a=-1+1*sqrt2", *pair)
+        if command == ["analyze"]:
+            assert json.loads(out)["verdict"] == "controllable"
+
+    def test_negative_number_endpoint_keeps_its_header(self, capsys):
+        code, out = run(
+            capsys, "control", "observability", "--a", "-0", "--b", "1", "--y", "phi1", "--T", "1"
+        )
+        assert code == 0
+        assert "# command: control observability --a -0 --b 1 " in out
+
     def test_synthesize_then_simulate(self, tmp_path, capsys):
         ctrl = tmp_path / "control.json"
         code = main(

@@ -14,7 +14,6 @@ from expseries.control import (
     control_from_document,
     control_to_document,
     gram_matrix,
-    profile_to_csv,
     solve_moment_problem,
     synthesize_distributed,
     synthesize_lumped,
@@ -300,21 +299,3 @@ class TestDocuments:
             "gramCondition",
         }
         assert control_from_document(doc) == control
-
-    def test_profile_csv_lumped(self):
-        control = solve_moment_problem(MomentProblem((-1.0, -4.0), (0.5, -0.25), 2.0))
-        lines = profile_to_csv(control, samples=9).strip().splitlines()
-        assert lines[0] == "s,u"
-        assert len(lines) == 10
-        s0, u0 = (float(x) for x in lines[1].split(","))
-        assert s0 == 0.0
-        assert u0 == pytest.approx(float(control.profile(0.0)), rel=1e-15)
-
-    def test_profile_csv_distributed(self):
-        act = Actuator.from_strings("0.3", "0.7", kind="distributed")
-        control, _ = synthesize_distributed(
-            SpectralState((1.0, -0.5)), SpectralState.zero(2), act, 1.0, 2, 1e-6
-        )
-        lines = profile_to_csv(control, samples=5).strip().splitlines()
-        assert lines[0] == "s,u_1,u_2"
-        assert len(lines) == 6

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -84,6 +85,49 @@ class TestPropagate:
         exact = propagate(SpectralState.unit_mode(1, 2), control, act, 1.0, steps=16)
         quadrature = propagate(SpectralState.unit_mode(1, 2), as_callable, act, 1.0, steps=16)
         assert np.max(np.abs(exact.states - quadrature.states)) < 1e-9
+
+    def test_control_nan_between_probe_points_is_rejected_quickly(self):
+        act = Actuator.from_strings("0", "1")
+        u = lambda s: np.where((s > 0.1) & (s < 0.2), np.nan, 1.0)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="finite"):
+            propagate(SpectralState.zero(2), u, act, 1.0)
+        assert time.perf_counter() - start < 1.0
+
+    def test_unresolved_jump_warns_and_stays_accurate(self):
+        act = Actuator.from_strings("0", "1")
+        jump = 1e8
+        u = lambda s: jump * (np.asarray(s) >= 0.3)
+        # With 16 steps the depth limit is reached on panels a few ulps wide,
+        # where the jump still misses the tolerance.
+        with pytest.warns(RuntimeWarning, match="quadrature on"):
+            traj = propagate(SpectralState.zero(2), u, act, 1.0, steps=16)
+        for j in (1, 2):
+            mu = eigenvalue(j)
+            exact = coupling_coefficient(act, j) * jump * math.expm1(mu * 0.7) / mu
+            assert traj.states[-1, j - 1] == pytest.approx(exact, rel=1e-12)
+
+    def test_smooth_callable_is_integrated_once_per_step(self):
+        act = Actuator.from_strings("0", "1")
+        calls = []
+
+        def u(s):
+            calls.append(1)
+            return 0.5 * np.exp(eigenvalue(1) * (1.0 - np.asarray(s)))
+
+        steps = 64
+        propagate(SpectralState.unit_mode(1, 3), u, act, 1.0, steps=steps)
+        assert len(calls) <= 3 * steps + 2
+
+    def test_blocked_modes_under_callable_match_free_decay(self):
+        act = Actuator.from_strings("0", "1/2")
+        z0 = SpectralState((1.0, -0.5, 0.25, 1.0, 0.0, 0.5, 0.0, -0.75))
+        u = lambda s: np.cos(3.0 * np.asarray(s))
+        forced = propagate(z0, u, act, 1.0, steps=32)
+        free = propagate(z0, None, act, 1.0, steps=32)
+        blocked = [3, 7]
+        assert np.array_equal(forced.states[:, blocked], free.states[:, blocked])
+        assert not np.array_equal(forced.states[:, :3], free.states[:, :3])
 
     def test_semigroup_property(self):
         act = Actuator.from_strings("0", "1")

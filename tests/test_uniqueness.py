@@ -11,10 +11,6 @@ from expseries.uniqueness import (
     chebyshev_sample,
     is_identically_zero,
     peel_leading,
-    peel_result_from_document,
-    peel_result_to_document,
-    signal_from_csv,
-    signal_to_csv,
 )
 
 from conftest import random_series
@@ -251,17 +247,3 @@ class TestSampledSignal:
             SampledSignal([0.0, 2.0], [1.0, 1.0], 1.0)
         with pytest.raises(ValueError, match="equal length"):
             SampledSignal([0.0, 0.5], [1.0], 1.0)
-
-    def test_csv_round_trip(self):
-        signal = exponential_sum_signal([1.0, -0.25], [0.5, 2.0], 3.0, 17)
-        text = signal_to_csv(signal)
-        again = signal_from_csv(text, horizon=3.0)
-        assert again.times == signal.times
-        assert again.values == signal.values
-
-    def test_peel_result_document_round_trip(self):
-        signal = exponential_sum_signal([2.0, -1.0], [1.0, 2.5], 5.0, 80)
-        result = peel_leading(signal, [1.0, 2.5], 2)
-        doc = peel_result_to_document(result)
-        assert set(doc) == {"recovered", "residualNorm"}
-        assert peel_result_from_document(doc) == result
