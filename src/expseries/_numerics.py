@@ -39,6 +39,9 @@ def exp_integral_grid(rates: np.ndarray, times: np.ndarray) -> np.ndarray:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _GL_TOL = 1e-10
 _GL_MAX_DEPTH = 48
+# Without a budget, a rough integrand (noise, thousands of jumps) would split
+# nearly every panel many times over.
+_GL_MAX_PANELS = 1000
 
 
 def _gl_panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> np.ndarray:
@@ -61,10 +64,19 @@ def adaptive_gauss_legendre(
     agrees with the sum of its two halves to within 1e-10 in every
     component. Non-finite integrand values raise ``ValueError``. A panel
     still rejected after 48 halvings is accepted with a ``RuntimeWarning``
-    that names its interval.
+    that names its interval. A call evaluates at most 1000 panels; once they
+    are spent, the panels not yet split are accepted as they are and one
+    ``RuntimeWarning`` names ``[a, b]`` and the panel count.
     """
+    panels = 1
+    exhausted = False
 
     def recurse(lo: float, hi: float, whole: np.ndarray, depth: int) -> np.ndarray:
+        nonlocal panels, exhausted
+        if panels + 2 > _GL_MAX_PANELS:
+            exhausted = True
+            return whole
+        panels += 2
         mid = 0.5 * (lo + hi)
         left = _gl_panel(f, lo, mid)
         right = _gl_panel(f, mid, hi)
@@ -79,4 +91,11 @@ def adaptive_gauss_legendre(
             return left + right
         return recurse(lo, mid, left, depth + 1) + recurse(mid, hi, right, depth + 1)
 
-    return recurse(a, b, _gl_panel(f, a, b), 0)
+    total = recurse(a, b, _gl_panel(f, a, b), 0)
+    if exhausted:
+        warnings.warn(
+            f"quadrature on [{a!r}, {b!r}] missed tolerance {_GL_TOL} "
+            f"when its budget ran out after {panels} panels",
+            RuntimeWarning,
+        )
+    return total

@@ -12,8 +12,8 @@ a rigorous bound on the omitted tail contribution, so downstream consumers
 
 Terms are kept sorted by strictly increasing exponent; duplicate exponents
 are rejected at construction.
-Sums are accumulated with error-free-transformation summation (``math.fsum``)
-in increasing-exponent order.
+Sums are correctly rounded (``math.fsum``), so the order in which their
+terms are added does not change them.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ def _require_finite(value: float, name: str) -> float:
     return value
 
 
-def _fsum(values: Iterable[float]) -> float:
-    return math.fsum(float(v) for v in values)
+def _fsum(values: np.ndarray) -> float:
+    return math.fsum(values.tolist())
 
 
 @dataclass(frozen=True)
@@ -150,10 +150,10 @@ class DirichletSeries:
     def lambdas(self) -> np.ndarray:
         return np.array([lam for _, lam in self.terms], dtype=float)
 
-    @property
+    @cached_property
     def sum_abs_coefficients(self) -> float:
         """``sum_j |alpha_j|`` over explicit terms plus the certified tail sum."""
-        total = _fsum(abs(a) for a, _ in self.terms)
+        total = _fsum(np.abs(self.alphas))
         if self.tail is not None:
             total += self.tail.sum_bound
         return total
@@ -162,11 +162,11 @@ class DirichletSeries:
 def evaluate(series: DirichletSeries, t: float) -> SeriesValue:
     """Evaluate the sum at ``t`` with a certified bound for the omitted tail.
 
-    Explicit terms are summed exactly (error-free transformations) in
-    increasing-exponent order. When a tail is present the result carries
-    ``tail.sum_bound * exp(-tail.lambda_floor * t)`` as error bound, which is
-    only certified for ``t >= 0``; negative ``t`` is therefore rejected for
-    tailed series (and allowed otherwise, e.g. for negative exponents).
+    The explicit terms' sum is correctly rounded. When a tail is present the
+    result carries ``tail.sum_bound * exp(-tail.lambda_floor * t)`` as error
+    bound, which is only certified for ``t >= 0``; negative ``t`` is
+    therefore rejected for tailed series (and allowed otherwise, e.g. for
+    negative exponents).
     """
     t = _require_finite(t, "t")
     if series.tail is not None and t < 0:

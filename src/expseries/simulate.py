@@ -15,7 +15,8 @@ synthesis. Arbitrary callable controls advance by the exact step recursion
 
 with one adaptive Gauss-Legendre quadrature per step whose panels call
 ``u`` once for every mode. Every node value must be finite (``ValueError``
-otherwise), and a panel that misses the tolerance at the depth limit emits a
+otherwise); a panel that misses the tolerance at the depth limit, and a step
+whose quadrature runs out of its panel budget, each emit a
 ``RuntimeWarning``. Distributed controls drive each mode through its own
 channel with weight ``gamma_j`` (the per-mode convention shared with the
 synthesizer).
@@ -90,7 +91,8 @@ def propagate(
     Gauss-Legendre panels (tolerance 1e-10 per step), and the forced parts
     are carried between steps by ``exp(mu h)``. ``ValueError`` is raised if
     ``u`` is not finite at a quadrature node; ``RuntimeWarning`` is emitted if
-    a panel misses the tolerance at the depth limit.
+    a panel misses the tolerance at the depth limit or a step spends its
+    budget of 1000 panels.
     """
     horizon = _require_finite(horizon, "horizon")
     if horizon <= 0:

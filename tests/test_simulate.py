@@ -107,6 +107,27 @@ class TestPropagate:
             exact = coupling_coefficient(act, j) * jump * math.expm1(mu * 0.7) / mu
             assert traj.states[-1, j - 1] == pytest.approx(exact, rel=1e-12)
 
+    def test_noisy_control_stops_at_the_panel_budget(self):
+        act = Actuator.from_strings("0", "1")
+        rng = np.random.default_rng(5)
+        u = lambda s: 1.0 + 1e-3 * rng.standard_normal(np.shape(s))
+        start = time.perf_counter()
+        with pytest.warns(RuntimeWarning, match="budget") as record:
+            traj = propagate(SpectralState.zero(2), u, act, 1.0, steps=16)
+        assert time.perf_counter() - start < 5.0
+        assert len(record) == 16  # one per step
+        mu = eigenvalue(1)
+        exact = coupling_coefficient(act, 1) * math.expm1(mu) / mu
+        assert traj.states[-1, 0] == pytest.approx(exact, rel=1e-2)
+
+    def test_square_wave_with_thousands_of_jumps_stops_at_the_panel_budget(self):
+        act = Actuator.from_strings("0", "1")
+        u = lambda s: np.where(np.floor(3200.0 * np.asarray(s)) % 2 == 0, 1.0, -1.0)
+        start = time.perf_counter()
+        with pytest.warns(RuntimeWarning, match="budget"):
+            propagate(SpectralState.zero(2), u, act, 1.0, steps=16)
+        assert time.perf_counter() - start < 5.0
+
     def test_smooth_callable_is_integrated_once_per_step(self):
         act = Actuator.from_strings("0", "1")
         calls = []

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from expseries.series import DirichletSeries, TailModel, evaluate
 from expseries.taylor import (
+    _tail_coefficient_bound,
     evaluate_via_expansion,
     expand,
     from_document,
@@ -23,7 +25,53 @@ def geometric_series(n_terms: int = 40) -> DirichletSeries:
     return DirichletSeries(terms, tail)
 
 
+def natural_order_rows(series: DirichletSeries, tau: float, order: int):
+    """``expand``'s recurrence rows summed in increasing-exponent order."""
+    tail_sum = series.tail.sum_bound if series.tail is not None else 0.0
+    term = series.alphas * np.exp(-series.lambdas * tau)
+    coeffs, bounds = [], []
+    for n in range(order + 1):
+        if n:
+            term = term * (-series.lambdas) / n
+        coeffs.append(math.fsum(term.tolist()))
+        bounds.append(
+            math.fsum(np.abs(term).tolist()) + _tail_coefficient_bound(tail_sum, tau, n)
+        )
+    return tuple(coeffs), tuple(bounds)
+
+
+@st.composite
+def wide_series(draw):
+    """Mixed-sign coefficients over many decades, exponents in [1e-3, 1e3]."""
+    lams = draw(
+        st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=60, unique=True)
+    )
+    alphas = [
+        draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(st.floats(-30.0, 30.0))
+        for _ in lams
+    ]
+    tail = draw(
+        st.none()
+        | st.builds(TailModel, st.floats(0.0, 1e3), st.floats(1e-3, 1e3))
+    )
+    return DirichletSeries(zip(alphas, lams), tail)
+
+
 class TestExpand:
+    @given(s=wide_series(), tau=st.floats(0.05, 5.0), order=st.integers(0, 120))
+    def test_rows_equal_natural_order_sums_bit_for_bit(self, s, tau, order):
+        exp_ = expand(s, tau, order)
+        coeffs, bounds = natural_order_rows(s, tau, order)
+        bits = lambda values: [float(v).hex() for v in values]
+        assert bits(exp_.coeffs) == bits(coeffs)
+        assert bits(exp_.coeff_bounds) == bits(bounds)
+        assert exp_.coeffs[0] == evaluate(s, tau).value
+
+    def test_row_sum_overflow_raises(self):
+        s = DirichletSeries([(1e308, 1e-3), (1e308, 2e-3)])
+        with pytest.raises(OverflowError):
+            expand(s, 1.0, 3)
+
     def test_single_exponential(self):
         # phi(t) = e^{-t} around tau = 1: b_n = e^{-1} (-1)^n / n!.
         exp_ = expand(DirichletSeries([(1.0, 1.0)]), 1.0, 3)
