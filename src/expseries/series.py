@@ -12,8 +12,9 @@ a rigorous bound on the omitted tail contribution, so downstream consumers
 
 Terms are kept sorted by strictly increasing exponent; duplicate exponents
 are rejected at construction.
-Sums are correctly rounded (``math.fsum``), so the order in which their
-terms are added does not change them.
+Sums over terms are correctly rounded by ``_numerics.row_sums``, which
+returns what ``math.fsum`` returns, bit for bit, so the order in which terms
+are added does not change them.
 """
 
 from __future__ import annotations
@@ -27,16 +28,14 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ._numerics import row_sums
+
 
 def _require_finite(value: float, name: str) -> float:
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite")
     return value
-
-
-def _fsum(values: np.ndarray) -> float:
-    return math.fsum(values.tolist())
 
 
 @dataclass(frozen=True)
@@ -153,7 +152,7 @@ class DirichletSeries:
     @cached_property
     def sum_abs_coefficients(self) -> float:
         """``sum_j |alpha_j|`` over explicit terms plus the certified tail sum."""
-        total = _fsum(np.abs(self.alphas))
+        total = row_sums(np.abs(self.alphas)[np.newaxis])[0]
         if self.tail is not None:
             total += self.tail.sum_bound
         return total
@@ -171,12 +170,15 @@ def evaluate(series: DirichletSeries, t: float) -> SeriesValue:
     t = _require_finite(t, "t")
     if series.tail is not None and t < 0:
         raise ValueError("t < 0 with certified tail (tail bound holds for t >= 0 only)")
-    value = _fsum(series.alphas * np.exp(-series.lambdas * t))
-    if series.tail is None:
-        bound = 0.0
-    else:
-        bound = series.tail.sum_bound * math.exp(-series.tail.lambda_floor * t)
-    return SeriesValue(value, bound)
+    value = row_sums((series.alphas * np.exp(-series.lambdas * t))[np.newaxis])[0]
+    return SeriesValue(value, _tail_error(series.tail, t))
+
+
+def _tail_error(tail: TailModel | None, t: float) -> float:
+    """The certified bound on the tail's contribution at ``t >= 0``."""
+    if tail is None:
+        return 0.0
+    return tail.sum_bound * math.exp(-tail.lambda_floor * t)
 
 
 def shift_normalize(series: DirichletSeries) -> tuple[DirichletSeries, float]:

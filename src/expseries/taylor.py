@@ -33,7 +33,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .series import DirichletSeries, SeriesValue, _fsum, _require_finite
+from ._numerics import BLOCK_ELEMENTS, row_sums
+from .series import DirichletSeries, SeriesValue, _require_finite
 
 _TWO_PI = 2.0 * math.pi
 
@@ -89,10 +90,11 @@ def expand(series: DirichletSeries, tau: float, order: int) -> TaylorExpansion:
     """Taylor coefficients of the sum around ``tau`` up to ``order``.
 
     Requires strictly positive exponents (apply
-    :func:`expseries.series.shift_normalize` first) and ``tau > 0``. The
-    zeroth coefficient reproduces ``evaluate(series, tau).value`` exactly:
-    both are the correctly rounded sum of the same term values, so the order
-    in which the terms are added does not matter.
+    :func:`expseries.series.shift_normalize` first) and ``tau > 0``. Each
+    ``b_n`` and its magnitude sum ``sum_j |alpha_j e^{-lambda_j tau}
+    lambda_j^n / n!|`` are correctly rounded sums of the recurrence's term
+    values, computed by ``_numerics.row_sums`` on blocks of rows, so the
+    zeroth coefficient reproduces ``evaluate(series, tau).value`` exactly.
     """
     tau = _require_finite(tau, "tau")
     if tau <= 0:
@@ -105,18 +107,26 @@ def expand(series: DirichletSeries, tau: float, order: int) -> TaylorExpansion:
         raise ValueError("all exponents must be strictly positive; shift_normalize first")
 
     tail_sum = series.tail.sum_bound if series.tail is not None else 0.0
+    neg_lams = -lams
+    # Row 2i holds b_n's terms and row 2i+1 their magnitudes; one row_sums
+    # call sums a block of such pairs, so the whole table never exists.
+    pairs = max(1, BLOCK_ELEMENTS // (2 * len(lams)))
+    block = np.empty((2 * pairs, len(lams)))
     term = series.alphas * np.exp(-lams * tau)
     coeffs, bounds = [], []
-    for n in range(order + 1):
-        if n:
-            term = term * (-lams) / n
-        magnitude = np.abs(term)
-        # A row spans hundreds of binary exponents. math.fsum keeps few
-        # partials, and so runs several times faster, when its inputs come in
-        # descending magnitude; its correctly rounded result is the same.
-        by_size = np.argsort(-magnitude)
-        coeffs.append(_fsum(term[by_size]))
-        bounds.append(_fsum(magnitude[by_size]) + _tail_coefficient_bound(tail_sum, tau, n))
+    for start in range(0, order + 1, pairs):
+        stop = min(start + pairs, order + 1)
+        for i, n in enumerate(range(start, stop)):
+            if n:
+                term = term * neg_lams / n
+            block[2 * i] = term
+            np.abs(term, out=block[2 * i + 1])
+        sums = row_sums(block[: 2 * (stop - start)])
+        coeffs.extend(sums[0::2])
+        bounds.extend(
+            mass + _tail_coefficient_bound(tail_sum, tau, n)
+            for n, mass in zip(range(start, stop), sums[1::2])
+        )
     return TaylorExpansion(
         center=tau,
         coeffs=tuple(coeffs),

@@ -28,7 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .series import DirichletSeries, _require_finite, evaluate
+from ._numerics import BLOCK_ELEMENTS, row_sums
+from .series import DirichletSeries, _require_finite, _tail_error
 
 
 class SeparationWarning(UserWarning):
@@ -106,10 +107,18 @@ def is_identically_zero(
         raise ValueError("horizon must be positive")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    for t in chebyshev_sample(horizon, nodes):
-        result = evaluate(series, float(t))
-        if abs(result.value) + result.error_bound > tol:
-            return False
+    ts = chebyshev_sample(horizon, nodes)
+    # Each node's value is the one evaluate returns; a block of nodes is
+    # summed at once, and the test stops at the first block that fails. Only
+    # a negative exponent can make a term overflow; then each node is its own
+    # block, so that no node after the first failing one is computed.
+    per_block = 1 if series.lambdas[0] < 0 else max(1, BLOCK_ELEMENTS // len(series))
+    for start in range(0, len(ts), per_block):
+        block = ts[start : start + per_block]
+        values = row_sums(series.alphas * np.exp(-np.multiply.outer(block, series.lambdas)))
+        for t, value in zip(block.tolist(), values):
+            if abs(value) + _tail_error(series.tail, t) > tol:
+                return False
     return True
 
 

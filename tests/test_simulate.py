@@ -128,6 +128,21 @@ class TestPropagate:
             propagate(SpectralState.zero(2), u, act, 1.0, steps=16)
         assert time.perf_counter() - start < 5.0
 
+    @pytest.mark.parametrize("jumps, expected, tol", [(3200, -1.4067e-4, 1e-4), (640, -7.0332e-4, 1e-5)])
+    def test_square_wave_at_the_budget_stays_accurate(self, jumps, expected, tol):
+        act = Actuator.from_strings("0", "1")
+        u = lambda s: np.where(np.floor(jumps * np.asarray(s)) % 2 == 0, 1.0, -1.0)
+        with pytest.warns(RuntimeWarning, match="budget"):
+            traj = propagate(SpectralState.zero(2), u, act, 1.0, steps=16)
+        # Exact piecewise integral of e^{mu (1 - s)} u(s) over the 'jumps' pieces.
+        mu = eigenvalue(1)
+        edges = np.arange(jumps + 1) / jumps
+        pieces = (np.exp(mu * (1.0 - edges[:-1])) - np.exp(mu * (1.0 - edges[1:]))) / mu
+        signs = np.where(np.arange(jumps) % 2 == 0, 1.0, -1.0)
+        exact = coupling_coefficient(act, 1) * math.fsum((signs * pieces).tolist())
+        assert exact == pytest.approx(expected, abs=1e-8)
+        assert abs(traj.states[-1, 0] - exact) < tol
+
     def test_smooth_callable_is_integrated_once_per_step(self):
         act = Actuator.from_strings("0", "1")
         calls = []

@@ -67,6 +67,18 @@ class TestExpand:
         assert bits(exp_.coeff_bounds) == bits(bounds)
         assert exp_.coeffs[0] == evaluate(s, tau).value
 
+    @pytest.mark.parametrize("tail", [None, TailModel(0.5, 50.0)])
+    def test_many_blocks_equal_natural_order_sums_bit_for_bit(self, tail):
+        rng = np.random.default_rng(8)
+        lams = np.unique(rng.uniform(1e-3, 1e3, 3000))
+        alphas = rng.choice([-1.0, 1.0], lams.size) * 10.0 ** rng.uniform(-30, 30, lams.size)
+        s = DirichletSeries(zip(alphas, lams), tail)
+        exp_ = expand(s, 0.7, 40)
+        coeffs, bounds = natural_order_rows(s, 0.7, 40)
+        bits = lambda values: [float(v).hex() for v in values]
+        assert bits(exp_.coeffs) == bits(coeffs)
+        assert bits(exp_.coeff_bounds) == bits(bounds)
+
     def test_row_sum_overflow_raises(self):
         s = DirichletSeries([(1e308, 1e-3), (1e308, 2e-3)])
         with pytest.raises(OverflowError):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from expseries.series import DirichletSeries, evaluate, shift_normalize
+from expseries.series import DirichletSeries, TailModel, evaluate, shift_normalize
 from expseries.uniqueness import (
     PeelResult,
     SampledSignal,
@@ -27,7 +27,51 @@ def exponential_sum_signal(
     return SampledSignal(t.tolist(), np.asarray(values).tolist(), horizon)
 
 
+def per_node_verdict(series: DirichletSeries, horizon: float, tol: float, nodes: int) -> bool:
+    """The vanishing test as one ``evaluate`` call per node."""
+    for t in chebyshev_sample(horizon, nodes):
+        result = evaluate(series, float(t))
+        if abs(result.value) + result.error_bound > tol:
+            return False
+    return True
+
+
 class TestIsIdenticallyZero:
+    @pytest.mark.parametrize("tail", [None, TailModel(1e-3, 40.0)])
+    def test_many_blocks_match_per_node_evaluate(self, tail):
+        rng = np.random.default_rng(9)
+        lams = np.unique(rng.uniform(0.1, 100.0, 3000))
+        alphas = rng.standard_normal(lams.size)
+        s = DirichletSeries(zip(alphas, lams), tail)
+        horizon = 1.5
+        # A tolerance equal to one node's |value| + bound flips on its last bit.
+        for t in chebyshev_sample(horizon, 33):
+            result = evaluate(s, float(t))
+            tol = abs(result.value) + result.error_bound
+            for probe in (tol, math.nextafter(tol, 0.0)):
+                assert is_identically_zero(s, horizon, probe, nodes=33) == per_node_verdict(
+                    s, horizon, probe, 33
+                )
+
+    def test_fails_only_at_the_last_node(self):
+        # Each pair a (e^{-l t} - e^{-(l + 0.01) t}) with l <= 0.5 rises on
+        # [0, 1], so the sum is 0 at t = 0 and largest at the last node.
+        rng = np.random.default_rng(10)
+        lams = np.unique(rng.uniform(0.1, 0.5, 1500))
+        alphas = rng.uniform(0.0, 1.0, lams.size)
+        s = DirichletSeries(list(zip(alphas, lams)) + list(zip(-alphas, lams + 0.01)))
+        nodes = chebyshev_sample(1.0, 33)
+        before, last = (abs(evaluate(s, float(t)).value) for t in nodes[-2:])
+        tol = 0.5 * (last + before)
+        assert not per_node_verdict(s, 1.0, tol, 33)
+        assert not is_identically_zero(s, 1.0, tol, nodes=33)
+        assert is_identically_zero(s, 1.0, last, nodes=33)
+
+    def test_negative_exponents_stop_before_an_overflowing_node(self):
+        # e^{800 t} overflows for t > 0.89; the test fails at t = 0.0024 first.
+        s = DirichletSeries([(1.0, -800.0), (-1.0, -801.0)])
+        assert not is_identically_zero(s, 1.0, 1e-9, nodes=33)
+
     def test_zero_coefficients(self):
         s = DirichletSeries([(0.0, 1.0), (0.0, 2.0)])
         assert is_identically_zero(s, 1.0, 1e-12)
