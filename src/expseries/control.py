@@ -34,7 +34,7 @@ import numpy as np
 
 from ._numerics import exp_integral
 from .heat import Actuator, coupling_coefficient, eigenvalue, mode_energy
-from .series import _require_finite
+from .series import _require_finite, _require_positive
 
 
 class BlockedModeError(Exception):
@@ -109,9 +109,7 @@ class MomentProblem:
             raise ValueError("exponents and moments must be nonempty and equally long")
         if any(b >= a for a, b in zip(exps, exps[1:])):
             raise ValueError("exponents must be strictly decreasing")
-        horizon = _require_finite(self.horizon, "horizon")
-        if horizon <= 0:
-            raise ValueError("horizon must be positive")
+        horizon = _require_positive(self.horizon, "horizon")
         object.__setattr__(self, "exponents", exps)
         object.__setattr__(self, "moments", moms)
         object.__setattr__(self, "horizon", horizon)
@@ -158,9 +156,7 @@ def gram_matrix(exponents: Sequence[float], horizon: float) -> np.ndarray:
     exps = [_require_finite(m, "exponent") for m in exponents]
     if len(set(exps)) != len(exps):
         raise ValueError("duplicate exponents make the Gram matrix singular")
-    horizon = _require_finite(horizon, "horizon")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    horizon = _require_positive(horizon, "horizon")
     n = len(exps)
     gram = np.empty((n, n))
     for i in range(n):
@@ -219,14 +215,34 @@ def _solve_moments(
     return control, residuals
 
 
-def _mode_deltas(
-    z0: SpectralState, z1: SpectralState, horizon: float, n_total: int
-) -> list[float]:
-    """Required state changes ``z1_j - exp(mu_j T) z0_j`` for j = 1..n_total."""
-    return [
+def _synthesis_setup(
+    z0: SpectralState,
+    z1: SpectralState,
+    actuator: Actuator,
+    horizon: float,
+    n_modes: int,
+    eps: float,
+    kind: str,
+) -> tuple[float, int, list[float], float]:
+    """Validate a synthesis request and return ``(horizon, n_modes, deltas,
+    tail_energy)``.
+
+    ``deltas[j-1] = z1_j - exp(mu_j T) z0_j`` is the state change mode j
+    needs, over every mode either state carries, and ``tail_energy`` sums
+    their squares beyond ``n_modes``.
+    """
+    horizon = _require_positive(horizon, "horizon")
+    if actuator.kind != kind:
+        raise ValueError(f"actuator kind must be '{kind}'")
+    n_modes = int(n_modes)
+    if n_modes < 1:
+        raise ValueError("n_modes must be at least 1")
+    _require_positive(eps, "eps")
+    deltas = [
         z1.mode(j) - math.exp(eigenvalue(j) * horizon) * z0.mode(j)
-        for j in range(1, n_total + 1)
+        for j in range(1, max(n_modes, z0.n_modes, z1.n_modes) + 1)
     ]
+    return horizon, n_modes, deltas, math.fsum(d * d for d in deltas[n_modes:])
 
 
 def synthesize_lumped(
@@ -248,20 +264,9 @@ def synthesize_lumped(
     state misses ``z1`` by at most that amount for targets supported on the
     retained modes.
     """
-    horizon = _require_finite(horizon, "horizon")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    if actuator.kind != "lumped":
-        raise ValueError("actuator kind must be 'lumped'")
-    n_modes = int(n_modes)
-    if n_modes < 1:
-        raise ValueError("n_modes must be at least 1")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-
-    n_total = max(n_modes, z0.n_modes, z1.n_modes)
-    deltas = _mode_deltas(z0, z1, horizon, n_total)
-
+    horizon, n_modes, deltas, tail_energy = _synthesis_setup(
+        z0, z1, actuator, horizon, n_modes, eps, "lumped"
+    )
     retained: list[int] = []
     couplings: dict[int, float] = {}
     for j in range(1, n_modes + 1):
@@ -275,8 +280,6 @@ def synthesize_lumped(
             continue
         retained.append(j)
         couplings[j] = beta
-
-    tail_energy = math.fsum(d * d for d in deltas[n_modes:])
 
     if not retained:
         control = ControlFunction(
@@ -325,29 +328,19 @@ def synthesize_distributed(
     same per-mode convention). The predicted error is the tail energy of
     target components beyond ``n_modes`` only.
     """
-    horizon = _require_finite(horizon, "horizon")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    if actuator.kind != "distributed":
-        raise ValueError("actuator kind must be 'distributed'")
+    horizon, n_modes, deltas, tail_energy = _synthesis_setup(
+        z0, z1, actuator, horizon, n_modes, eps, "distributed"
+    )
     if not actuator.b.to_float() > actuator.a.to_float():
         raise ValueError("actuator endpoints a < b are equal in double precision")
-    n_modes = int(n_modes)
-    if n_modes < 1:
-        raise ValueError("n_modes must be at least 1")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-
-    n_total = max(n_modes, z0.n_modes, z1.n_modes)
-    deltas = _mode_deltas(z0, z1, horizon, n_total)
-
     exponents = tuple(eigenvalue(j) for j in range(1, n_modes + 1))
-    coeffs = []
-    for j in range(1, n_modes + 1):
-        gamma = mode_energy(actuator, j)
-        gain = gamma * exp_integral(2.0 * eigenvalue(j), horizon)
-        coeffs.append(deltas[j - 1] / gain)
     gram = gram_matrix(exponents, horizon)
+    # The gain of mode j is gamma_j times the Gram diagonal integral of
+    # exp(2 mu_j (T - s)).
+    coeffs = [
+        deltas[j - 1] / (mode_energy(actuator, j) * gram[j - 1, j - 1])
+        for j in range(1, n_modes + 1)
+    ]
     d = np.array(coeffs)
     control = ControlFunction(
         kind="distributed",
@@ -357,7 +350,6 @@ def synthesize_distributed(
         moment_residual=0.0,
         energy=float(d @ gram @ d),
     )
-    tail_energy = math.fsum(x * x for x in deltas[n_modes:])
     return control, math.sqrt(tail_energy)
 
 

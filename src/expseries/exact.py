@@ -1,9 +1,9 @@
 """Exact arithmetic over numbers of the form ``p/q + (r/s) * xi``.
 
 ``xi`` is one irrational constant identified by a tag: ``sqrt2``, ``sqrt3``,
-``sqrt5`` or ``pi``. Values of this shape are closed under addition,
-subtraction and rational scaling, and rationality is decidable exactly: the
-value is rational if and only if the irrational coefficient is zero. Signs,
+``sqrt5`` or ``pi``. Values of this shape that share their constant are
+closed under addition and subtraction, and rationality is decidable exactly:
+the value is rational if and only if the irrational coefficient is zero. Signs,
 and with them ``<`` and ``<=``, are decided exactly for the square roots and
 through a rational enclosure for ``pi``. That is all the actuator endpoint
 tests require, so no general algebraic-number machinery is built.
@@ -18,9 +18,10 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
-RationalLike = Union[int, Fraction, str]
+# The rational parts an ExactReal accepts; floats and strings are refused
+# (strings go through ExactReal.parse).
+RationalLike = int | Fraction
 
 # Certified enclosures: one IEEE double on each side of the true value.
 # math.sqrt and math.pi are correctly rounded, so the open interval between
@@ -45,7 +46,6 @@ def _sign(value: Fraction) -> int:
     return (value > 0) - (value < 0)
 
 
-_RAT_RE = re.compile(r"[+-]?(?:\d+\.\d+|\d+(?:/\d+)?)")
 _TERM_RE = re.compile(
     r"^(?P<first>[+-]?(?:\d+\.\d+|\d+(?:/\d+)?))"
     r"(?:\*(?P<tag1>[A-Za-z_][A-Za-z0-9_]*))?"
@@ -59,10 +59,6 @@ def _as_fraction(value: RationalLike) -> Fraction:
         raise TypeError("rational value must not be a bool")
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
-    if isinstance(value, str):
-        if not _RAT_RE.fullmatch(value.strip()):
-            raise ValueError(f"not a valid rational literal: {value!r}")
-        return Fraction(value.strip())
     raise TypeError(f"cannot interpret {type(value).__name__} as an exact rational")
 
 
@@ -91,10 +87,6 @@ class ExactReal:
                 raise ValueError(f"unknown irrational tag {self.tag!r}")
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def rational(cls, value: RationalLike) -> "ExactReal":
-        return cls(_as_fraction(value))
 
     @classmethod
     def parse(cls, text: str) -> "ExactReal":
@@ -159,9 +151,6 @@ class ExactReal:
         coeff = float(self.irr)
         return 0.5 * ((base + coeff * low) + (base + coeff * high))
 
-    def __float__(self) -> float:
-        return self.to_float()
-
     # -- arithmetic -----------------------------------------------------
 
     def _coerce(self, other: object) -> "ExactReal":
@@ -178,34 +167,11 @@ class ExactReal:
         tag = self.tag if self.irr != 0 else rhs.tag
         return ExactReal(self.rat + rhs.rat, self.irr + rhs.irr, tag)
 
-    def __radd__(self, other: object) -> "ExactReal":
-        return self.__add__(other)
-
     def __neg__(self) -> "ExactReal":
         return ExactReal(-self.rat, -self.irr, self.tag)
 
     def __sub__(self, other: object) -> "ExactReal":
         return self.__add__(-self._coerce(other))
-
-    def __rsub__(self, other: object) -> "ExactReal":
-        return (-self).__add__(other)
-
-    def scale(self, factor: RationalLike) -> "ExactReal":
-        """Multiply by an exact rational factor."""
-        q = _as_fraction(factor)
-        return ExactReal(self.rat * q, self.irr * q, self.tag if self.irr * q != 0 else None)
-
-    def __mul__(self, other: object) -> "ExactReal":
-        if isinstance(other, ExactReal):
-            if other.is_rational:
-                return self.scale(other.rat)
-            if self.is_rational:
-                return other.scale(self.rat)
-            raise ValueError("products of two irrational values are not representable")
-        return self.scale(other)  # type: ignore[arg-type]
-
-    def __rmul__(self, other: object) -> "ExactReal":
-        return self.__mul__(other)
 
     # -- formatting -------------------------------------------------------
 

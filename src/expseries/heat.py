@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
-
 from .exact import ExactReal
 
 _SQRT2 = math.sqrt(2.0)
@@ -50,11 +48,6 @@ def eigenvalue(j: int) -> float:
 def decay_exponent(j: int) -> float:
     """lambda_j = (j pi)^2, strictly increasing and positive."""
     return (_check_mode(j) * math.pi) ** 2
-
-
-def eigenfunction(j: int, x):
-    """phi_j(x) = sqrt(2) sin(j pi x); accepts scalars or arrays."""
-    return _SQRT2 * np.sin(_check_mode(j) * math.pi * np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,13 @@ def _require_finite(value: float, name: str) -> float:
     return value
 
 
+def _require_positive(value: float, name: str) -> float:
+    value = _require_finite(value, name)
+    if value <= 0:
+        raise ValueError(f"{name} must be positive")
+    return value
+
+
 @dataclass(frozen=True)
 class TailModel:
     """Certified bounds for the truncated part of an exponential sum.
@@ -56,9 +63,7 @@ class TailModel:
         sum_bound = _require_finite(self.sum_bound, "sum_bound")
         if sum_bound < 0:
             raise ValueError("sum_bound must be nonnegative")
-        floor = _require_finite(self.lambda_floor, "lambda_floor")
-        if floor <= 0:
-            raise ValueError("lambda_floor must be positive")
+        floor = _require_positive(self.lambda_floor, "lambda_floor")
         merged: dict[int, float] = {0: sum_bound}
         for key, bound in dict(self.weighted_bounds).items():
             k = int(key)

@@ -34,7 +34,7 @@ import numpy as np
 from ._numerics import adaptive_gauss_legendre, exp_integral_grid
 from .control import ControlFunction, SpectralState
 from .heat import Actuator, coupling_coefficient, decay_exponent, eigenvalue, mode_energy
-from .series import DirichletSeries, _require_finite
+from .series import DirichletSeries, _require_positive
 from .uniqueness import SampledSignal
 
 ControlLike = ControlFunction | Callable[[np.ndarray], np.ndarray] | None
@@ -56,12 +56,14 @@ class Trajectory:
     def n_modes(self) -> int:
         return self.states.shape[1]
 
-    def terminal_state(self) -> SpectralState:
-        return SpectralState(tuple(float(x) for x in self.states[-1]))
-
 
 def _mode_rates(n: int) -> np.ndarray:
     return np.array([eigenvalue(j) for j in range(1, n + 1)])
+
+
+def _couplings(actuator: Actuator, n: int) -> np.ndarray:
+    """beta_j for modes 1..n, exactly zero on blocked modes."""
+    return np.array([coupling_coefficient(actuator, j) for j in range(1, n + 1)])
 
 
 def _vectorized(control: Callable) -> Callable[[np.ndarray], np.ndarray]:
@@ -94,9 +96,7 @@ def propagate(
     a panel misses the tolerance at the depth limit or a step spends its
     budget of 1000 panels.
     """
-    horizon = _require_finite(horizon, "horizon")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    horizon = _require_positive(horizon, "horizon")
     steps = int(steps)
     if steps < 16:
         raise ValueError("steps must be at least 16")
@@ -111,24 +111,27 @@ def propagate(
             raise ValueError(
                 f"control horizon {control.horizon} does not match simulation horizon {horizon}"
             )
+        # Each term reaches the modes in ``cols`` with the given weights:
+        # lumped term k every mode through beta, distributed term i only
+        # mode i+1 through gamma_{i+1}.
         if control.kind == "lumped":
-            betas = np.array([coupling_coefficient(actuator, j) for j in range(1, n + 1)])
-            for nu, c in zip(control.exponents, control.coeffs):
-                conv = exp_integral_grid(rates + nu, times)
-                states += betas * c * np.exp(nu * (horizon - times))[:, None] * conv
+            channels = [(slice(None), _couplings(actuator, n))] * len(control.coeffs)
         else:
             if len(control.coeffs) > n:
                 raise ValueError(
                     f"distributed control drives {len(control.coeffs)} modes "
                     f"but the state carries only {n}"
                 )
-            for i, (nu, d) in enumerate(zip(control.exponents, control.coeffs)):
-                gamma = mode_energy(actuator, i + 1)
-                conv = exp_integral_grid(np.array([rates[i] + nu]), times)[:, 0]
-                states[:, i] += gamma * d * np.exp(nu * (horizon - times)) * conv
+            channels = [
+                (slice(i, i + 1), np.array([mode_energy(actuator, i + 1)]))
+                for i in range(len(control.coeffs))
+            ]
+        for (cols, weights), nu, c in zip(channels, control.exponents, control.coeffs):
+            conv = exp_integral_grid(rates[cols] + nu, times)
+            states[:, cols] += weights * c * np.exp(nu * (horizon - times))[:, None] * conv
     elif callable(control):
         u = _vectorized(control)
-        betas = np.array([coupling_coefficient(actuator, j) for j in range(1, n + 1)])
+        betas = _couplings(actuator, n)
         forced = np.zeros(n)
         for k in range(1, steps + 1):
             lo, hi = float(times[k - 1]), float(times[k])
@@ -161,18 +164,13 @@ def verify_control(
     actuator: Actuator,
     horizon: float,
     steps: int = 64,
-    mode_factor: int = 2,
 ) -> Trajectory:
-    """Propagate with the mode count widened to ``mode_factor`` times the request.
+    """Propagate with the mode count widened to twice the request.
 
     Simulating more modes than the synthesis targeted exposes control
     spillover into untargeted modes; the reported terminal error includes it.
     """
-    mode_factor = int(mode_factor)
-    if mode_factor < 1:
-        raise ValueError("mode_factor must be at least 1")
-    base = max(z0.n_modes, z1.n_modes)
-    width = mode_factor * base
+    width = 2 * max(z0.n_modes, z1.n_modes)
     padded0 = SpectralState(z0.coeffs + (0.0,) * (width - z0.n_modes))
     padded1 = SpectralState(z1.coeffs + (0.0,) * (width - z1.n_modes))
     return propagate(padded0, control, actuator, horizon, steps=steps, target=padded1)
@@ -190,14 +188,10 @@ def observability_signal(
     samples = int(samples)
     if samples < 2:
         raise ValueError("samples must be at least 2")
-    horizon = _require_finite(horizon, "horizon")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    horizon = _require_positive(horizon, "horizon")
     n = y.n_modes
     rates = _mode_rates(n)
-    weights = np.array(
-        [coupling_coefficient(actuator, j) for j in range(1, n + 1)]
-    ) * y.coeff_array
+    weights = _couplings(actuator, n) * y.coeff_array
     times = np.linspace(0.0, horizon, samples)
     values = np.exp(np.outer(times, rates)) @ weights
     return SampledSignal(times.tolist(), values.tolist(), horizon)

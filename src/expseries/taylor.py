@@ -29,14 +29,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from ._numerics import BLOCK_ELEMENTS, row_sums
-from .series import DirichletSeries, SeriesValue, _require_finite
+from .series import DirichletSeries, SeriesValue, _require_finite, _require_positive
 
 _TWO_PI = 2.0 * math.pi
+_MAX_ORDER = 10_000
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,6 @@ class TaylorExpansion:
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    @cached_property
-    def coeff_array(self) -> np.ndarray:
-        return np.array(self.coeffs, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -96,9 +92,7 @@ def expand(series: DirichletSeries, tau: float, order: int) -> TaylorExpansion:
     values, computed by ``_numerics.row_sums`` on blocks of rows, so the
     zeroth coefficient reproduces ``evaluate(series, tau).value`` exactly.
     """
-    tau = _require_finite(tau, "tau")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    tau = _require_positive(tau, "tau")
     order = int(order)
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -143,6 +137,11 @@ def _radius_ratio(expansion: TaylorExpansion, t: float) -> float:
     return abs(t - tau) / tau
 
 
+def _remainder(s0: float, r: float, n: int) -> float:
+    # The module docstring's enclosure of the tail beyond order n.
+    return s0 / math.sqrt(_TWO_PI * (n + 1)) * r ** (n + 1) / (1.0 - r)
+
+
 def remainder_bound(expansion: TaylorExpansion, n: int, t: float) -> RemainderCertificate:
     """Certified bound on ``|phi(t) - sum_{j<=n} b_j (t-tau)^j``.
 
@@ -155,13 +154,7 @@ def remainder_bound(expansion: TaylorExpansion, n: int, t: float) -> RemainderCe
         raise ValueError("n must be at least 1")
     if n > expansion.order:
         raise ValueError(f"n={n} exceeds the expansion order {expansion.order}")
-    r = _radius_ratio(expansion, t)
-    bound = (
-        expansion.sum_abs_alpha
-        / math.sqrt(_TWO_PI * (n + 1))
-        * r ** (n + 1)
-        / (1.0 - r)
-    )
+    bound = _remainder(expansion.sum_abs_alpha, _radius_ratio(expansion, t), n)
     return RemainderCertificate(order=n, t=float(t), bound=bound)
 
 
@@ -169,12 +162,11 @@ def evaluate_via_expansion(expansion: TaylorExpansion, t: float) -> SeriesValue:
     """Horner evaluation of the expansion with its remainder certificate."""
     if expansion.order < 1:
         raise ValueError("expansion must have order >= 1 to certify a remainder")
-    _radius_ratio(expansion, t)  # validates t in (0, 2*tau)
+    cert = remainder_bound(expansion, expansion.order, t)
     dt = float(t) - expansion.center
     acc = 0.0
     for b in reversed(expansion.coeffs):
         acc = acc * dt + b
-    cert = remainder_bound(expansion, expansion.order, t)
     return SeriesValue(acc, cert.bound)
 
 
@@ -195,23 +187,19 @@ def partial_sums(expansion: TaylorExpansion, t: float) -> np.ndarray:
     return np.array([math.fsum(terms[: n + 1]) for n in range(len(terms))])
 
 
-def order_for_tolerance(
-    expansion: TaylorExpansion, t: float, tol: float, max_order: int = 10_000
-) -> int:
+def order_for_tolerance(expansion: TaylorExpansion, t: float, tol: float) -> int:
     """Smallest ``n >= 1`` whose certified bound at ``t`` is at most ``tol``.
 
-    Scans upward (the bounds are cheap). The result may exceed the order the
+    Scans upward (the bounds are cheap) and raises ``ValueError`` when no
+    order up to 10,000 suffices. The result may exceed the order the
     expansion was built with, in which case re-expand at the returned order.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    tol = _require_positive(tol, "tol")
     r = _radius_ratio(expansion, t)
-    s0 = expansion.sum_abs_alpha
-    for n in range(1, max_order + 1):
-        bound = s0 / math.sqrt(_TWO_PI * (n + 1)) * r ** (n + 1) / (1.0 - r)
-        if bound <= tol:
+    for n in range(1, _MAX_ORDER + 1):
+        if _remainder(expansion.sum_abs_alpha, r, n) <= tol:
             return n
-    raise ValueError(f"no order up to {max_order} certifies tolerance {tol}")
+    raise ValueError(f"no order up to {_MAX_ORDER} certifies tolerance {tol}")
 
 
 def to_document(expansion: TaylorExpansion) -> dict:
@@ -221,12 +209,3 @@ def to_document(expansion: TaylorExpansion) -> dict:
         "bounds": list(expansion.coeff_bounds),
         "sumAbsAlpha": expansion.sum_abs_alpha,
     }
-
-
-def from_document(doc: dict) -> TaylorExpansion:
-    return TaylorExpansion(
-        center=float(doc["center"]),
-        coeffs=tuple(float(c) for c in doc["coeffs"]),
-        coeff_bounds=tuple(float(b) for b in doc["bounds"]),
-        sum_abs_alpha=float(doc["sumAbsAlpha"]),
-    )

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from ._numerics import BLOCK_ELEMENTS, row_sums
-from .series import DirichletSeries, _require_finite, _tail_error
+from .series import DirichletSeries, _require_finite, _require_positive, _tail_error
 
 
 class SeparationWarning(UserWarning):
@@ -45,9 +45,7 @@ class SampledSignal:
     horizon: float
 
     def __init__(self, times: Sequence[float], values: Sequence[float], horizon: float) -> None:
-        horizon = _require_finite(horizon, "horizon")
-        if horizon <= 0:
-            raise ValueError("horizon must be positive")
+        horizon = _require_positive(horizon, "horizon")
         times = tuple(_require_finite(t, "sample time") for t in times)
         values = tuple(_require_finite(v, "sample value") for v in values)
         if not times:
@@ -102,11 +100,8 @@ def is_identically_zero(
     function, where relative comparisons are meaningless. With tol -> 0 the
     verdict characterizes all-zero coefficients.
     """
-    horizon = _require_finite(horizon, "horizon")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    horizon = _require_positive(horizon, "horizon")
+    tol = _require_positive(tol, "tol")
     ts = chebyshev_sample(horizon, nodes)
     # Each node's value is the one evaluate returns; a block of nodes is
     # summed at once, and the test stops at the first block that fails. Only
@@ -117,7 +112,8 @@ def is_identically_zero(
         block = ts[start : start + per_block]
         values = row_sums(series.alphas * np.exp(-np.multiply.outer(block, series.lambdas)))
         for t, value in zip(block.tolist(), values):
-            if abs(value) + _tail_error(series.tail, t) > tol:
+            # Written so that a NaN node value fails, as an infinite one does.
+            if not abs(value) + _tail_error(series.tail, t) <= tol:
                 return False
     return True
 

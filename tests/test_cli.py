@@ -6,7 +6,6 @@ import pytest
 from expseries.cli import main
 from expseries.control import control_from_document
 from expseries.heat import report_from_document
-from expseries.taylor import from_document as expansion_from_document
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -30,7 +29,7 @@ class TestSeriesCommands:
         doc = json.loads(out)
         e1 = math.exp(-1.0)
         assert doc["coeffs"] == pytest.approx([e1, -e1, e1 / 2, -e1 / 6])
-        assert expansion_from_document(doc).center == 1.0
+        assert doc["center"] == 1.0
 
     def test_remainder_sweep_enclosure(self, capsys):
         code, out = run(
@@ -206,6 +205,18 @@ class TestControlCommands:
         )
         assert code == 0
         assert out.strip().splitlines()[-1] == "identicallyZero,true"
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["observability", "--y", "phi1", "--tol", "nan"],
+            ["synthesize", "--target", "phi1->0", "--N", "1", "--eps", "nan"],
+        ],
+    )
+    def test_nan_tolerance_is_validation_error(self, capsys, command):
+        code = main(["control", *command, "--a", "0", "--b", "1/2", "--T", "1"])
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
 
     def test_bad_exact_string_is_validation_error(self, capsys):
         code = main(["control", "analyze", "--a", "zero", "--b", "1"])

@@ -265,6 +265,16 @@ class TestSynthesizeDistributed:
             )
 
 
+@pytest.mark.parametrize(
+    "synthesize, kind", [(synthesize_lumped, "lumped"), (synthesize_distributed, "distributed")]
+)
+@pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0])
+def test_eps_must_be_finite_and_positive(synthesize, kind, eps):
+    act = Actuator.from_strings("0.3", "0.7", kind=kind)
+    with pytest.raises(ValueError, match="eps must be"):
+        synthesize(SpectralState.unit_mode(1), SpectralState.zero(1), act, 1.0, 1, eps)
+
+
 class TestSpectralState:
     def test_unit_mode(self):
         z = SpectralState.unit_mode(3)

@@ -12,7 +12,6 @@ from expseries.heat import (
     coupling_coefficient,
     decay_exponent,
     distributed_controllability,
-    eigenfunction,
     eigenvalue,
     mode_energy,
     overlap,
@@ -60,15 +59,6 @@ class TestSpectrum:
         assert all(b < a for a, b in zip(mus, mus[1:]))
         assert all(b > a > 0 for a, b in zip(lams, lams[1:]))
         assert eigenvalue(1) == -math.pi**2
-
-    def test_orthonormal_eigenfunctions(self):
-        for j in range(1, 11):
-            for k in range(j, 11):
-                value, _ = quad(
-                    lambda x: float(eigenfunction(j, x) * eigenfunction(k, x)), 0.0, 1.0
-                )
-                expected = 1.0 if j == k else 0.0
-                assert abs(value - expected) < 1e-10
 
 
 class TestOverlap:

@@ -177,7 +177,7 @@ class TestPropagate:
         z0 = SpectralState((1.0, 0.5, -0.25))
         whole = propagate(z0, control, act, horizon, steps=32)
         first = propagate(z0, control_restriction_first_half(control), act, 0.5, steps=16)
-        mid = first.terminal_state()
+        mid = SpectralState(first.states[-1])
         second = propagate(
             mid, control_restriction_second_half(control), act, 0.5, steps=16
         )
@@ -210,8 +210,6 @@ class TestPropagate:
         assert abs(wide.states[-1, 0]) < 1e-12
         assert wide.states[-1, 1] != 0.0  # leak into the untargeted mode
         assert wide.terminal_error >= predicted
-        narrow = verify_control(z0, z1, control, act, 1.0, mode_factor=1)
-        assert narrow.n_modes == 1
 
     def test_distributed_eight_random_targets(self, rng):
         act = Actuator.from_strings("0.3", "0.7", kind="distributed")

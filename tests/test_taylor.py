@@ -9,11 +9,9 @@ from expseries.taylor import (
     _tail_coefficient_bound,
     evaluate_via_expansion,
     expand,
-    from_document,
     order_for_tolerance,
     partial_sums,
     remainder_bound,
-    to_document,
 )
 
 from conftest import random_series, well_scaled_series
@@ -101,7 +99,7 @@ class TestExpand:
         for _ in range(5):
             s = random_series(rng)
             exp_ = expand(s, 0.7, 30)
-            b = np.abs(exp_.coeff_array)
+            b = np.abs(np.array(exp_.coeffs))
             a = np.array(exp_.coeff_bounds)
             assert np.all(b <= a * (1.0 + 1e-14) + 1e-300)
 
@@ -266,11 +264,12 @@ class TestOrderSelection:
     def test_unreachable_tolerance_raises(self):
         exp_ = expand(DirichletSeries([(1.0, 1.0)]), 1.0, 5)
         with pytest.raises(ValueError, match="no order"):
-            order_for_tolerance(exp_, 1.9, 1e-300, max_order=10)
+            order_for_tolerance(exp_, 1.999, 1e-300)
 
-
-class TestDocuments:
-    def test_round_trip(self, rng):
-        exp_ = expand(random_series(rng), 1.0, 12)
-        again = from_document(to_document(exp_))
-        assert again == exp_
+    def test_tolerance_must_be_finite_and_positive(self):
+        exp_ = expand(DirichletSeries([(1.0, 1.0)]), 1.0, 5)
+        with pytest.raises(ValueError, match="positive"):
+            order_for_tolerance(exp_, 1.5, 0.0)
+        for tol in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                order_for_tolerance(exp_, 1.5, tol)

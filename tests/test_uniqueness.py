@@ -72,6 +72,12 @@ class TestIsIdenticallyZero:
         s = DirichletSeries([(1.0, -800.0), (-1.0, -801.0)])
         assert not is_identically_zero(s, 1.0, 1e-9, nodes=33)
 
+    def test_nan_node_value_fails(self):
+        # 0 * e^{1000 t} is NaN for t > 0.71, yet phi(1) = 1e-12 e^30 is about 10.7.
+        s = DirichletSeries([(0.0, -1000.0), (1e-12, -30.0)])
+        with pytest.warns(RuntimeWarning):
+            assert not is_identically_zero(s, 1.0, 1.0)
+
     def test_zero_coefficients(self):
         s = DirichletSeries([(0.0, 1.0), (0.0, 2.0)])
         assert is_identically_zero(s, 1.0, 1e-12)
@@ -123,6 +129,9 @@ class TestIsIdenticallyZero:
             is_identically_zero(s, 0.0, 1e-6)
         with pytest.raises(ValueError):
             is_identically_zero(s, 1.0, 0.0)
+        for tol in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                is_identically_zero(s, 1.0, tol)
 
 
 class TestPeelLeading:
