@@ -14,8 +14,9 @@ The package splits into two layers:
   controllability verdicts), :mod:`expseries.control` (moment-method
   synthesis), :mod:`expseries.simulate` (independent modal simulator).
 
-A command-line interface is available as ``expseries`` (see
-:mod:`expseries.cli`).
+The library modules only compute. The command-line interface ``expseries``
+(:mod:`expseries.cli`) is the one module that reads and writes files: every
+JSON document and CSV table format is defined there.
 """
 
 from .exact import ExactReal
@@ -26,7 +27,6 @@ from .heat import Actuator, ControllabilityReport
 from .control import (
     BlockedModeError,
     ConditioningError,
-    ConditioningWarning,
     ControlFunction,
     MomentProblem,
     SpectralState,
@@ -39,7 +39,6 @@ __all__ = [
     "Actuator",
     "BlockedModeError",
     "ConditioningError",
-    "ConditioningWarning",
     "ControlFunction",
     "ControllabilityReport",
     "DirichletSeries",

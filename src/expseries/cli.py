@@ -1,4 +1,9 @@
-"""Command-line front end: structured JSON/CSV in, deterministic files out.
+"""Command-line front end, and the one module that reads or writes files.
+
+Every format lives here: series documents (JSON, read), expansion and
+controllability documents (JSON, written), control documents (JSON, written
+and read back by ``simulate``), and the remainder, trajectory and signal
+tables (CSV, written). The library modules only compute.
 
 Exit codes: 0 success, 1 I/O failure, 2 validation failure, 3 domain error
 (blocked mode or conditioning). Outputs never contain timestamps; CSV files
@@ -12,25 +17,101 @@ import argparse
 import json
 import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
 from . import control as control_mod
 from . import heat, series, simulate, taylor, uniqueness
-from .control import BlockedModeError, ConditioningError, SpectralState
+from .control import BlockedModeError, ConditioningError, ControlFunction, SpectralState
+from .series import _require_finite
 
 
 def _dump_json(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _csv(header: str, rows, *footer: str) -> str:
+    """One line per row, each field written by ``repr``, between fixed lines.
+
+    No field ever needs quoting: numbers carry no comma, quote or newline.
+    """
+    lines = [header, *(",".join(map(repr, row)) for row in rows), *footer]
+    return "\n".join(lines) + "\n"
+
+
+def _parse_number(raw: object, name: str) -> float:
+    """Accept JSON numbers plus decimal or rational strings such as "1/3"."""
+    if isinstance(raw, bool):
+        raise ValueError(f"{name} must be a number, got a bool")
+    if isinstance(raw, (int, float)):
+        return _require_finite(raw, name)
+    if isinstance(raw, str):
+        try:
+            return _require_finite(float(Fraction(raw.strip())), name)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"{name} does not parse as decimal or rational: {raw!r}") from exc
+    raise ValueError(f"{name} must be a number or numeric string")
+
+
+def _series_from_document(doc) -> series.DirichletSeries:
+    if "terms" not in doc:
+        raise ValueError("series document lacks 'terms'")
+    terms = [
+        (_parse_number(pair[0], "coefficient"), _parse_number(pair[1], "exponent"))
+        for pair in doc["terms"]
+    ]
+    tail_doc = doc.get("tail")
+    tail = None
+    if tail_doc is not None:
+        weighted = {
+            int(k): _parse_number(v, f"weighted bound k={k}")
+            for k, v in (tail_doc.get("weightedBounds") or {}).items()
+        }
+        tail = series.TailModel(
+            _parse_number(tail_doc["sumBound"], "sumBound"),
+            _parse_number(tail_doc["lambdaFloor"], "lambdaFloor"),
+            tuple(weighted.items()),
+        )
+    return series.DirichletSeries(terms, tail)
+
+
 def _load_series(args) -> series.DirichletSeries:
-    if getattr(args, "series", None):
-        text = Path(args.series).read_text(encoding="utf-8")
-        return series.loads(text)
-    if getattr(args, "terms", None):
-        return series.from_document({"terms": json.loads(args.terms), "tail": None})
-    raise ValueError("provide a series via --series FILE or --terms JSON")
+    if args.series:
+        doc = json.loads(Path(args.series).read_text(encoding="utf-8"))
+    elif args.terms:
+        doc = {"terms": json.loads(args.terms)}
+    else:
+        raise ValueError("provide a series via --series FILE or --terms JSON")
+    return _series_from_document(doc)
+
+
+def _control_document(control: ControlFunction) -> dict:
+    doc: dict = {
+        "kind": control.kind,
+        "T": control.horizon,
+        "exponents": list(control.exponents),
+        "coeffs": list(control.coeffs),
+    }
+    if control.moment_residual is not None:
+        doc["momentResidual"] = control.moment_residual
+    if control.energy is not None:
+        doc["energy"] = control.energy
+    if control.gram_condition is not None:
+        doc["gramCondition"] = control.gram_condition
+    return doc
+
+
+def _control_from_document(doc: dict) -> ControlFunction:
+    return ControlFunction(
+        kind=str(doc["kind"]),
+        horizon=float(doc["T"]),
+        exponents=tuple(float(x) for x in doc["exponents"]),
+        coeffs=tuple(float(x) for x in doc["coeffs"]),
+        moment_residual=doc.get("momentResidual"),
+        energy=doc.get("energy"),
+        gram_condition=doc.get("gramCondition"),
+    )
 
 
 def _parse_state(text: str, min_modes: int = 1) -> SpectralState:
@@ -47,8 +128,7 @@ def _parse_state(text: str, min_modes: int = 1) -> SpectralState:
 
 
 def _actuator(args, default_kind: str = "lumped") -> heat.Actuator:
-    kind = getattr(args, "kind", None) or default_kind
-    return heat.Actuator.from_strings(args.a, args.b, kind)
+    return heat.Actuator.from_strings(args.a, args.b, args.kind or default_kind)
 
 
 # argparse already reads these as values; anything else that starts with "-"
@@ -76,28 +156,26 @@ def _attach_endpoints(argv: list[str]) -> list[str]:
 
 
 def _echoable(argv: list[str]) -> list[str]:
-    # The output destination is not part of the computation; dropping it keeps
-    # runs writing to different paths byte-identical.
+    # The output destination is not part of the computation. Dropping it in
+    # every spelling argparse accepts (--out PATH, --out=PATH, and a prefix
+    # such as --ou) keeps runs writing to different paths byte-identical.
     kept: list[str] = []
-    skip = False
-    for token in argv:
-        if skip:
-            skip = False
-            continue
-        if token == "--out":
-            skip = True
-            continue
-        kept.append(token)
+    tokens = iter(argv)
+    for token in tokens:
+        flag, joined, _ = token.partition("=")
+        if len(flag) < 3 or not "--out".startswith(flag):
+            kept.append(token)
+        elif not joined:
+            next(tokens, None)
     return kept
 
 
 def _emit(args, text: str, argv: list[str], is_csv: bool) -> None:
-    if is_csv and not getattr(args, "no_header", False):
+    if is_csv and not args.no_header:
         header = f"# expseries {__version__}\n# command: {' '.join(_echoable(argv))}\n"
         text = header + text
-    out = getattr(args, "out", None)
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -116,7 +194,13 @@ def _cmd_series_eval(args, argv) -> None:
 def _cmd_series_expand(args, argv) -> None:
     s = _load_series(args)
     expansion = taylor.expand(s, args.tau, args.order)
-    _emit(args, _dump_json(taylor.to_document(expansion)), argv, False)
+    doc = {
+        "center": expansion.center,
+        "coeffs": list(expansion.coeffs),
+        "bounds": list(expansion.coeff_bounds),
+        "sumAbsAlpha": expansion.sum_abs_alpha,
+    }
+    _emit(args, _dump_json(doc), argv, False)
 
 
 def _cmd_series_remainder(args, argv) -> None:
@@ -126,12 +210,11 @@ def _cmd_series_remainder(args, argv) -> None:
     expansion = taylor.expand(s, args.tau, args.nmax)
     exact_value = series.evaluate(s, args.t).value
     partials = taylor.partial_sums(expansion, args.t)
-    lines = ["n,t,measured,certified"]
-    for n in range(1, args.nmax + 1):
-        measured = float(abs(exact_value - partials[n]))
-        certified = taylor.remainder_bound(expansion, n, args.t).bound
-        lines.append(f"{n},{args.t!r},{measured!r},{certified!r}")
-    _emit(args, "\n".join(lines) + "\n", argv, True)
+    rows = (
+        (n, args.t, float(abs(exact_value - p)), taylor.remainder_bound(expansion, n, args.t).bound)
+        for n, p in enumerate(partials[1:], 1)
+    )
+    _emit(args, _csv("n,t,measured,certified", rows), argv, True)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +228,16 @@ def _cmd_control_analyze(args, argv) -> None:
         report = heat.distributed_controllability(actuator, j_check=min(args.jmax, 64))
     else:
         report = heat.blocked_set(actuator, args.jmax)
-    _emit(args, _dump_json(heat.report_to_document(report)), argv, False)
+    doc = {
+        "verdict": report.verdict,
+        "blockedPrefix": list(report.blocked_prefix),
+        "modulusCharacterization": [
+            {"modulus": m, "residues": list(res)} for m, res in report.moduli
+        ],
+        "jMax": report.j_max,
+        "subspace": report.subspace,
+    }
+    _emit(args, _dump_json(doc), argv, False)
 
 
 def _resolve_states(args) -> tuple[SpectralState, SpectralState]:
@@ -172,14 +264,13 @@ def _cmd_control_synthesize(args, argv) -> None:
         control, predicted = control_mod.synthesize_lumped(
             z0, z1, actuator, args.T, args.N, args.eps, args.reg
         )
-    doc = control_mod.control_to_document(control)
+    doc = _control_document(control)
     doc["predictedError"] = predicted
     _emit(args, _dump_json(doc), argv, False)
 
 
 def _cmd_control_simulate(args, argv) -> None:
-    doc = json.loads(Path(args.control).read_text(encoding="utf-8"))
-    control = control_mod.control_from_document(doc)
+    control = _control_from_document(json.loads(Path(args.control).read_text(encoding="utf-8")))
     actuator = _actuator(args, default_kind=control.kind)
     horizon = args.T if args.T is not None else control.horizon
     z0 = _parse_state(args.z0, len(control.coeffs) or 1)
@@ -187,7 +278,12 @@ def _cmd_control_simulate(args, argv) -> None:
     trajectory = simulate.propagate(
         z0, control, actuator, horizon, steps=args.steps, target=target
     )
-    _emit(args, simulate.trajectory_to_csv(trajectory), argv, True)
+    header = ",".join(["t"] + [f"z_{j}" for j in range(1, trajectory.n_modes + 1)])
+    rows = ([t, *z] for t, z in zip(trajectory.times.tolist(), trajectory.states.tolist()))
+    footer = []
+    if trajectory.terminal_error is not None:
+        footer.append(f"terminalError,{trajectory.terminal_error!r}")
+    _emit(args, _csv(header, rows, *footer), argv, True)
 
 
 def _cmd_control_observability(args, argv) -> None:
@@ -197,9 +293,8 @@ def _cmd_control_observability(args, argv) -> None:
     verdict = uniqueness.is_identically_zero(
         simulate.observability_series(y, actuator), args.T, args.tol
     )
-    text = uniqueness.signal_to_csv(signal)
-    text += f"identicallyZero,{'true' if verdict else 'false'}\n"
-    _emit(args, text, argv, True)
+    footer = f"identicallyZero,{'true' if verdict else 'false'}"
+    _emit(args, _csv("t,value", zip(signal.times, signal.values), footer), argv, True)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--no-header", action="store_true", help="omit provenance comments in CSV output"
     )
-    common.add_argument("--config", help="JSON file whose entries override the flags")
 
     series_parent = argparse.ArgumentParser(add_help=False)
     series_parent.add_argument("--series", help="path to a series document")
@@ -284,20 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args) -> None:
-    path = getattr(args, "config", None)
-    if not path:
-        return
-    overrides = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(overrides, dict):
-        raise ValueError("config document must be a JSON object")
-    for key, value in overrides.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            raise ValueError(f"config key {key!r} does not match any flag")
-        setattr(args, attr, value)
-
-
 def main(argv=None) -> int:
     argv = _attach_endpoints(list(sys.argv[1:]) if argv is None else list(argv))
     parser = build_parser()
@@ -307,12 +387,11 @@ def main(argv=None) -> int:
         code = exc.code if isinstance(exc.code, int) else 2
         return code
     try:
-        _apply_config(args)
         args.handler(args, argv)
     except (BlockedModeError, ConditioningError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -40,6 +40,13 @@ def _check_mode(j: int) -> int:
     return j
 
 
+def _check_j_max(j_max: int) -> int:
+    j_max = int(j_max)
+    if j_max < 1:
+        raise ValueError("j_max must be at least 1")
+    return j_max
+
+
 def eigenvalue(j: int) -> float:
     """mu_j = -(j pi)^2, strictly decreasing in j."""
     return -((_check_mode(j) * math.pi) ** 2)
@@ -162,9 +169,7 @@ class ControllabilityReport:
 
 def blocked_set(actuator: Actuator, j_max: int = 256) -> ControllabilityReport:
     """Enumerate I up to ``j_max`` from its exact modular characterization."""
-    j_max = int(j_max)
-    if j_max < 1:
-        raise ValueError("j_max must be at least 1")
+    j_max = _check_j_max(j_max)
     kept = actuator.blocked_moduli
     prefix = tuple(sorted({j for m in kept for j in range(m, j_max + 1, m)}))
     moduli = tuple((m, (0,)) for m in kept)
@@ -190,13 +195,14 @@ def distributed_controllability(actuator: Actuator, j_check: int = 8) -> Control
 
     phi_j has finitely many zeros, so it cannot vanish on an interval of
     positive length; the numerical witness checks gamma_j > 0 for the first
-    ``j_check`` modes.
+    ``j_check >= 1`` modes.
     """
     if actuator.kind != "distributed":
         raise ValueError("actuator kind must be 'distributed'")
+    j_check = _check_j_max(j_check)
     if not actuator.b.to_float() > actuator.a.to_float():
         raise ValueError("actuator endpoints a < b are equal in double precision")
-    for j in range(1, int(j_check) + 1):
+    for j in range(1, j_check + 1):
         witness = mode_energy(actuator, j)
         if not witness > 0.0:
             raise AssertionError(
@@ -206,36 +212,6 @@ def distributed_controllability(actuator: Actuator, j_check: int = 8) -> Control
         verdict=VERDICT_CONTROLLABLE,
         blocked_prefix=(),
         moduli=(),
-        j_max=int(j_check),
+        j_max=j_check,
         subspace="all modes (V = H)",
-    )
-
-
-# ---------------------------------------------------------------------------
-# Structured-text documents
-# ---------------------------------------------------------------------------
-
-
-def report_to_document(report: ControllabilityReport) -> dict:
-    return {
-        "verdict": report.verdict,
-        "blockedPrefix": list(report.blocked_prefix),
-        "modulusCharacterization": [
-            {"modulus": m, "residues": list(res)} for m, res in report.moduli
-        ],
-        "jMax": report.j_max,
-        "subspace": report.subspace,
-    }
-
-
-def report_from_document(doc: dict) -> ControllabilityReport:
-    return ControllabilityReport(
-        verdict=str(doc["verdict"]),
-        blocked_prefix=tuple(int(j) for j in doc["blockedPrefix"]),
-        moduli=tuple(
-            (int(item["modulus"]), tuple(int(r) for r in item["residues"]))
-            for item in doc["modulusCharacterization"]
-        ),
-        j_max=int(doc["jMax"]),
-        subspace=str(doc["subspace"]),
     )

@@ -19,12 +19,10 @@ are added does not change them.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -238,65 +236,3 @@ def antiderivative_reduce(series: DirichletSeries, k: int) -> DirichletSeries:
         weighted[0] = new_sum
         tail = TailModel(new_sum, tail.lambda_floor, tuple(weighted.items()))
     return DirichletSeries(zip(coeffs, lams), tail)
-
-
-# ---------------------------------------------------------------------------
-# Structured-text documents
-# ---------------------------------------------------------------------------
-
-
-def _parse_number(raw: object, name: str) -> float:
-    """Accept JSON numbers plus decimal or rational strings such as "1/3"."""
-    if isinstance(raw, bool):
-        raise ValueError(f"{name} must be a number, got a bool")
-    if isinstance(raw, (int, float)):
-        return _require_finite(raw, name)
-    if isinstance(raw, str):
-        try:
-            return _require_finite(float(Fraction(raw.strip())), name)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"{name} does not parse as decimal or rational: {raw!r}") from exc
-    raise ValueError(f"{name} must be a number or numeric string")
-
-
-def to_document(series: DirichletSeries) -> dict:
-    doc: dict = {"terms": [[alpha, lam] for alpha, lam in series.terms]}
-    if series.tail is None:
-        doc["tail"] = None
-    else:
-        doc["tail"] = {
-            "sumBound": series.tail.sum_bound,
-            "lambdaFloor": series.tail.lambda_floor,
-            "weightedBounds": {str(k): b for k, b in series.tail.weighted_bounds},
-        }
-    return doc
-
-
-def from_document(doc: Mapping) -> DirichletSeries:
-    if "terms" not in doc:
-        raise ValueError("series document lacks 'terms'")
-    terms = [
-        (_parse_number(pair[0], "coefficient"), _parse_number(pair[1], "exponent"))
-        for pair in doc["terms"]
-    ]
-    tail_doc = doc.get("tail")
-    tail = None
-    if tail_doc is not None:
-        weighted = {
-            int(k): _parse_number(v, f"weighted bound k={k}")
-            for k, v in (tail_doc.get("weightedBounds") or {}).items()
-        }
-        tail = TailModel(
-            _parse_number(tail_doc["sumBound"], "sumBound"),
-            _parse_number(tail_doc["lambdaFloor"], "lambdaFloor"),
-            tuple(weighted.items()),
-        )
-    return DirichletSeries(terms, tail)
-
-
-def dumps(series: DirichletSeries) -> str:
-    return json.dumps(to_document(series), indent=2) + "\n"
-
-
-def loads(text: str) -> DirichletSeries:
-    return from_document(json.loads(text))

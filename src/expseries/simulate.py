@@ -24,8 +24,6 @@ synthesizer).
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Callable
 
@@ -216,36 +214,3 @@ def project_onto_v(y: SpectralState, report) -> SpectralState:
         0.0 if report.is_blocked(j) else y.mode(j) for j in range(1, y.n_modes + 1)
     ]
     return SpectralState(coeffs)
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-# ---------------------------------------------------------------------------
-
-
-def trajectory_to_csv(trajectory: Trajectory) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["t"] + [f"z_{j}" for j in range(1, trajectory.n_modes + 1)])
-    for t, row in zip(trajectory.times, trajectory.states):
-        writer.writerow([repr(float(t))] + [repr(float(x)) for x in row])
-    if trajectory.terminal_error is not None:
-        writer.writerow(["terminalError", repr(trajectory.terminal_error)])
-    return out.getvalue()
-
-
-def trajectory_from_csv(text: str) -> Trajectory:
-    times: list[float] = []
-    rows: list[list[float]] = []
-    terminal_error = None
-    for row in csv.reader(io.StringIO(text)):
-        if not row or row[0].startswith("#") or row[0] == "t":
-            continue
-        if row[0] == "terminalError":
-            terminal_error = float(row[1])
-            continue
-        times.append(float(row[0]))
-        rows.append([float(x) for x in row[1:]])
-    return Trajectory(
-        times=np.array(times), states=np.array(rows), terminal_error=terminal_error
-    )

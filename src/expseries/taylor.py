@@ -200,12 +200,3 @@ def order_for_tolerance(expansion: TaylorExpansion, t: float, tol: float) -> int
         if _remainder(expansion.sum_abs_alpha, r, n) <= tol:
             return n
     raise ValueError(f"no order up to {_MAX_ORDER} certifies tolerance {tol}")
-
-
-def to_document(expansion: TaylorExpansion) -> dict:
-    return {
-        "center": expansion.center,
-        "coeffs": list(expansion.coeffs),
-        "bounds": list(expansion.coeff_bounds),
-        "sumAbsAlpha": expansion.sum_abs_alpha,
-    }

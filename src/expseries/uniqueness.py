@@ -18,8 +18,6 @@ different problem (Prony-type methods) and out of scope here.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -199,17 +197,3 @@ def peel_leading(
         condition=condition,
         fallback_windows=fallback,
     )
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-# ---------------------------------------------------------------------------
-
-
-def signal_to_csv(signal: SampledSignal) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["t", "value"])
-    for t, v in zip(signal.times, signal.values):
-        writer.writerow([repr(t), repr(v)])
-    return out.getvalue()

@@ -13,26 +13,23 @@ import pytest
 from expseries.cli import main as cli_main
 from expseries.control import (
     BlockedModeError,
+    ControlFunction,
     SpectralState,
-    control_from_document,
-    control_to_document,
     synthesize_lumped,
 )
 from expseries.heat import (
     Actuator,
+    ControllabilityReport,
     blocked_set,
     coupling_coefficient,
     overlap,
     overlap_is_zero,
-    report_from_document,
-    report_to_document,
 )
 from expseries.series import DirichletSeries, evaluate, antiderivative_reduce
 from expseries.simulate import (
     observability_series,
     project_onto_v,
-    trajectory_from_csv,
-    trajectory_to_csv,
+    propagate,
     verify_control,
 )
 from expseries.taylor import expand, partial_sums, remainder_bound
@@ -255,21 +252,33 @@ def test_criterion_10_determinism_and_round_trip(tmp_path, capsys):
     assert cli_main(sim_args + ["--out", str(t2)]) == 0
     assert t1.read_bytes() == t2.read_bytes()
 
-    # Lossless re-parse of every emitted document kind.
-    control_doc = json.loads(c1.read_text())
-    predicted = control_doc.pop("predictedError")
-    assert predicted < 1e-8
-    control = control_from_document(control_doc)
-    assert control_to_document(control) == control_doc
+    # Lossless re-parse of every emitted document kind: each one, parsed
+    # here, equals the object the library returns for the same request.
+    actuator = Actuator.from_strings("0", "1")
+    z0, z1 = SpectralState.unit_mode(1), SpectralState.zero(1)
+    control, predicted = synthesize_lumped(z0, z1, actuator, 1.0, 1, 1e-6)
+    doc = json.loads(c1.read_text())
+    assert doc.pop("predictedError") == predicted < 1e-8
+    assert ControlFunction(
+        doc["kind"], doc["T"], tuple(doc["exponents"]), tuple(doc["coeffs"]),
+        doc["momentResidual"], doc["energy"], doc["gramCondition"],
+    ) == control
 
-    data_lines = [
-        line for line in t1.read_text().splitlines() if not line.startswith("#")
+    trajectory = propagate(z0, control, actuator, 1.0, target=z1)
+    header, *rows, (label, error) = [
+        line.split(",") for line in t1.read_text().splitlines() if not line.startswith("#")
     ]
-    csv_text = "\n".join(data_lines) + "\n"
-    assert trajectory_to_csv(trajectory_from_csv(csv_text)) == csv_text
+    table = np.array(rows, dtype=float)
+    assert header == ["t", "z_1"]
+    assert np.array_equal(table[:, 0], trajectory.times)
+    assert np.array_equal(table[:, 1:], trajectory.states)
+    assert (label, float(error)) == ("terminalError", trajectory.terminal_error)
 
     assert cli_main(["control", "analyze", "--a", "0", "--b", "1/2", "--jmax", "12"]) == 0
-    report_doc = json.loads(capsys.readouterr().out)
-    assert report_to_document(report_from_document(report_doc)) == report_doc
+    doc = json.loads(capsys.readouterr().out)
+    moduli = tuple((m["modulus"], tuple(m["residues"])) for m in doc["modulusCharacterization"])
+    assert ControllabilityReport(
+        doc["verdict"], tuple(doc["blockedPrefix"]), moduli, doc["jMax"], doc["subspace"]
+    ) == blocked_set(Actuator.from_strings("0", "1/2"), 12)
     with capsys.disabled():
         report(10, "reruns byte-identical; control, trajectory, report docs re-parse losslessly")

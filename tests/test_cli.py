@@ -3,9 +3,8 @@ import math
 
 import pytest
 
-from expseries.cli import main
-from expseries.control import control_from_document
-from expseries.heat import report_from_document
+from expseries.cli import _control_from_document, main
+from expseries.heat import Actuator, blocked_set
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -83,7 +82,7 @@ class TestControlCommands:
         assert doc["verdict"] == "not-controllable"
         assert doc["blockedPrefix"] == [4, 8, 12]
         assert doc["modulusCharacterization"] == [{"modulus": 4, "residues": [0]}]
-        report_from_document(doc)
+        assert doc["jMax"] == 12
 
     def test_analyze_irrational_endpoints(self, capsys):
         code, out = run(
@@ -140,7 +139,7 @@ class TestControlCommands:
         assert code == 0
         doc = json.loads(ctrl.read_text())
         assert doc["predictedError"] < 1e-8
-        control_from_document(doc)
+        assert _control_from_document(doc).coeffs == tuple(doc["coeffs"])
 
         traj = tmp_path / "traj.csv"
         code = main(
@@ -222,6 +221,32 @@ class TestControlCommands:
         code = main(["control", "analyze", "--a", "zero", "--b", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize("kind", [[], ["--kind", "distributed"]])
+    @pytest.mark.parametrize("jmax", [["--jmax", "-5"], ["--jmax=-5"], ["--jmax", "0"]])
+    def test_nonpositive_jmax_is_validation_error(self, capsys, kind, jmax):
+        code = main(["control", "analyze", "--a", "0", "--b", "1/2", *kind, *jmax])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "j_max must be at least 1" in captured.err
+
+    @pytest.mark.parametrize("field, value", [("exponents", [math.nan]), ("T", math.nan)])
+    def test_nonfinite_control_document_is_validation_error(
+        self, tmp_path, capsys, field, value
+    ):
+        doc = {"kind": "lumped", "T": 1.0, "exponents": [-1.0], "coeffs": [0.5]}
+        doc[field] = value
+        path = tmp_path / "control.json"
+        path.write_text(json.dumps(doc))  # json writes NaN, and json.loads reads it
+        code = main(
+            ["control", "simulate", "--control", str(path), "--a", "0", "--b", "1",
+             "--z0", "phi1", "--z1", "0", "--T", "1"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "must be" in captured.err
+
 
 class TestDeterminismAndConfig:
     def test_byte_identical_reruns(self, tmp_path):
@@ -243,41 +268,30 @@ class TestDeterminismAndConfig:
         assert main(argv + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("spelling", ["--out={}", "--ou={}", "--ou {}", "--o {}"])
+    def test_output_path_is_not_echoed(self, tmp_path, spelling):
+        # Every spelling of --out drops the path from the provenance header.
+        out1 = tmp_path / "a.csv"
+        out2 = tmp_path / "b.csv"
+        argv = ["control", "observability", "--a", "0", "--b", "1/2", "--y", "phi4", "--T", "1"]
+        assert main(argv + spelling.format(out1).split()) == 0
+        assert main(argv + ["--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        assert out1.read_text().splitlines()[1] == "# command: " + " ".join(argv)
+
     def test_emitted_documents_reparse(self, capsys):
         code, out = run(capsys, "control", "analyze", "--a", "3/10", "--b", "7/10")
         assert code == 0
-        doc = json.loads(out)
-        report = report_from_document(doc)
-        from expseries.heat import report_to_document
-
-        assert report_to_document(report) == doc
-
-    def test_config_overrides_flags(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"jmax": 8}))
-        code, out = run(
-            capsys,
-            "control",
-            "analyze",
-            "--a",
-            "0",
-            "--b",
-            "1/2",
-            "--jmax",
-            "999",
-            "--config",
-            str(cfg),
-        )
-        assert code == 0
-        assert json.loads(out)["jMax"] == 8
-
-    def test_unknown_config_key_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"mystery": 1}))
-        code = main(
-            ["control", "analyze", "--a", "0", "--b", "1/2", "--config", str(cfg)]
-        )
-        assert code == 2
+        report = blocked_set(Actuator.from_strings("3/10", "7/10"), 256)
+        assert json.loads(out) == {
+            "verdict": report.verdict,
+            "blockedPrefix": list(report.blocked_prefix),
+            "modulusCharacterization": [
+                {"modulus": m, "residues": list(res)} for m, res in report.moduli
+            ],
+            "jMax": report.j_max,
+            "subspace": report.subspace,
+        }
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["series", "eval"]) == 2  # --t missing

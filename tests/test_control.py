@@ -7,17 +7,15 @@ from scipy.integrate import quad
 from expseries.control import (
     BlockedModeError,
     ConditioningError,
-    ConditioningWarning,
     ControlFunction,
     MomentProblem,
     SpectralState,
-    control_from_document,
-    control_to_document,
     gram_matrix,
     solve_moment_problem,
     synthesize_distributed,
     synthesize_lumped,
 )
+from expseries.cli import _control_document, _control_from_document
 from expseries.heat import Actuator, eigenvalue
 
 
@@ -210,18 +208,6 @@ class TestSynthesizeLumped:
                 assert predicted <= previous + 1e-8
             previous = predicted
 
-    def test_many_modes_warns(self):
-        # omega = (0, 1/3) blocks only multiples of 6: ten requested modes
-        # leave nine retained, beyond the honest-conditioning cap of eight.
-        act = Actuator.from_strings("0", "1/3")
-        z0 = SpectralState((0.0,) * 10)
-        z1 = SpectralState(tuple(0.0 if j == 6 else 1e-30 for j in range(1, 11)))
-        with pytest.warns(ConditioningWarning):
-            try:
-                synthesize_lumped(z0, z1, act, 1.0, 10, 1e-6)
-            except ConditioningError:
-                pass
-
     def test_horizon_validated(self):
         act = Actuator.from_strings("0", "1")
         with pytest.raises(ValueError, match="horizon"):
@@ -294,11 +280,30 @@ class TestSpectralState:
             SpectralState((math.nan,))
 
 
+class TestControlFunction:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("exponents", (math.nan,), "control exponent must be finite"),
+            ("exponents", (-math.inf,), "control exponent must be finite"),
+            ("coeffs", (math.nan,), "control coefficient must be finite"),
+            ("horizon", math.nan, "horizon must be finite"),
+            ("horizon", 0.0, "horizon must be positive"),
+            ("horizon", -1.0, "horizon must be positive"),
+        ],
+    )
+    def test_validation(self, field, value, message):
+        fields = {"kind": "lumped", "horizon": 1.0, "exponents": (-1.0,), "coeffs": (1.0,)}
+        fields[field] = value
+        with pytest.raises(ValueError, match=message):
+            ControlFunction(**fields)
+
+
 class TestDocuments:
     def test_round_trip(self):
         mp = MomentProblem((-1.0, -4.0), (0.5, -0.25), 2.0)
         control = solve_moment_problem(mp)
-        doc = control_to_document(control)
+        doc = _control_document(control)
         assert set(doc) == {
             "kind",
             "T",
@@ -308,4 +313,4 @@ class TestDocuments:
             "energy",
             "gramCondition",
         }
-        assert control_from_document(doc) == control
+        assert _control_from_document(doc) == control

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -5,9 +6,11 @@ import pytest
 from hypothesis import assume, given, strategies as st
 from scipy.integrate import quad
 
+from expseries.cli import main
 from expseries.exact import ExactReal, parse
 from expseries.heat import (
     Actuator,
+    ControllabilityReport,
     blocked_set,
     coupling_coefficient,
     decay_exponent,
@@ -16,8 +19,6 @@ from expseries.heat import (
     mode_energy,
     overlap,
     overlap_is_zero,
-    report_from_document,
-    report_to_document,
 )
 
 
@@ -165,9 +166,15 @@ class TestBlockedSet:
             for j in range(1, 65):
                 assert report.is_blocked(j) == (j in report.blocked_prefix)
 
-    def test_document_round_trip(self):
+    def test_document_round_trip(self, capsys):
         report = blocked_set(Actuator.from_strings("0", "1/2"), 12)
-        assert report_from_document(report_to_document(report)) == report
+        assert main(["control", "analyze", "--a", "0", "--b", "1/2", "--jmax", "12"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        moduli = tuple((d["modulus"], tuple(d["residues"])) for d in doc["modulusCharacterization"])
+        again = ControllabilityReport(
+            doc["verdict"], tuple(doc["blockedPrefix"]), moduli, doc["jMax"], doc["subspace"]
+        )
+        assert again == report
 
     @given(act=exact_actuators(), j_max=st.integers(1, 300))
     def test_prefix_matches_exact_overlap_test(self, act, j_max):
@@ -201,6 +208,12 @@ class TestDistributed:
         act = Actuator.from_strings("0", "1/2", kind="lumped")
         with pytest.raises(ValueError, match="distributed"):
             distributed_controllability(act)
+
+    @pytest.mark.parametrize("j_check", [0, -5])
+    def test_mode_count_checked(self, j_check):
+        act = Actuator.from_strings("0", "1/2", kind="distributed")
+        with pytest.raises(ValueError, match="j_max must be at least 1"):
+            distributed_controllability(act, j_check)
 
     def test_mode_energy_positive_everywhere(self, rng):
         for _ in range(10):

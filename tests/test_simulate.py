@@ -1,3 +1,4 @@
+import json
 import math
 import time
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from expseries.cli import main
 from expseries.control import (
     ControlFunction,
     SpectralState,
@@ -18,8 +20,6 @@ from expseries.simulate import (
     observability_signal,
     project_onto_v,
     propagate,
-    trajectory_from_csv,
-    trajectory_to_csv,
     verify_control,
 )
 from expseries.uniqueness import is_identically_zero
@@ -323,13 +323,21 @@ class TestProjectOntoV:
 
 
 class TestTrajectoryCsv:
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         act = Actuator.from_strings("0", "1")
         traj = propagate(
             SpectralState((1.0, -0.5)), None, act, 1.0, steps=16, target=SpectralState.zero(2)
         )
-        text = trajectory_to_csv(traj)
-        again = trajectory_from_csv(text)
-        assert np.array_equal(again.times, traj.times)
-        assert np.array_equal(again.states, traj.states)
-        assert again.terminal_error == traj.terminal_error
+        # A control with no terms is free decay, as None is.
+        free = tmp_path / "free.json"
+        free.write_text(json.dumps({"kind": "lumped", "T": 1.0, "exponents": [], "coeffs": []}))
+        out = tmp_path / "traj.csv"
+        argv = ["control", "simulate", "--control", str(free), "--a", "0", "--b", "1",
+                "--z0", "[1.0, -0.5]", "--z1", "0", "--steps", "16", "--no-header"]
+        assert main(argv + ["--out", str(out)]) == 0
+        header, *rows, (label, error) = (line.split(",") for line in out.read_text().splitlines())
+        assert header == ["t", "z_1", "z_2"]
+        table = np.array(rows, dtype=float)
+        assert np.array_equal(table[:, 0], traj.times)
+        assert np.array_equal(table[:, 1:], traj.states)
+        assert (label, float(error)) == ("terminalError", traj.terminal_error)
