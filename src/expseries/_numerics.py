@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import warnings
@@ -111,7 +112,6 @@ def row_sums(table: np.ndarray) -> list[float]:
     return sums
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _GL_TOL = 1e-10
 _GL_MAX_DEPTH = 48
 # Without a budget, a rough integrand (noise, thousands of jumps) would split
@@ -119,63 +119,88 @@ _GL_MAX_DEPTH = 48
 _GL_MAX_PANELS = 1000
 
 
-def _gl_panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> np.ndarray:
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    values = f(mid + half * _GL_NODES)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("control values must be finite")
-    return half * (_GL_WEIGHTS @ values)
+@functools.cache
+def _gauss_legendre_16() -> tuple[np.ndarray, np.ndarray]:
+    # Built on first use: importing numpy.polynomial slows every CLI start.
+    return np.polynomial.legendre.leggauss(16)
+
+
+def _gl_panels(f, width: int, los, his, steps) -> np.ndarray:
+    """The 16-node rule on each panel [lo, hi] of step ``steps``, one row each.
+
+    A call of ``f`` gets as many panels as keep it within ``BLOCK_ELEMENTS``
+    node values times ``width``, and at least one.
+    """
+    nodes, weights = _gauss_legendre_16()
+    mids, halves = 0.5 * (los + his), 0.5 * (his - los)
+    per_call = max(1, BLOCK_ELEMENTS // (16 * width))
+    out = np.empty((len(los), width))
+    for block in (slice(i, i + per_call) for i in range(0, len(los), per_call)):
+        s = (mids[block, None] + halves[block, None] * nodes).ravel()
+        values = f(s, np.repeat(steps[block], 16)).reshape(-1, 16, width)
+        if not np.all(np.isfinite(values)):
+            raise ValueError("control values must be finite")
+        out[block] = halves[block, None] * (weights @ values)
+    return out
 
 
 def adaptive_gauss_legendre(
-    f: Callable[[np.ndarray], np.ndarray], a: float, b: float
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray], times: np.ndarray, width: int
 ) -> np.ndarray:
-    """Adaptive panel-splitting Gauss-Legendre quadrature (16-node panels).
+    """Adaptive Gauss-Legendre quadrature (16-node panels) on every step of a grid.
 
-    ``f`` maps the 16 nodes of a panel to an array whose first axis runs over
-    the nodes; the trailing axes are integrated together, so one call per
-    panel serves a vector of integrands. A panel is accepted when its value
-    agrees with the sum of its two halves to within 1e-10 in every
-    component; otherwise both halves are tested in turn, those of the panel
-    with the largest error first. Non-finite integrand values raise
-    ``ValueError``. A panel still rejected after 48 halvings is accepted with
-    a ``RuntimeWarning`` that names its interval. A call evaluates at most
-    1000 panels; once they are spent, the halves not yet tested are accepted
-    as they are and one ``RuntimeWarning`` names ``[a, b]`` and the panel
-    count. The accepted panels are added in interval order.
+    ``f(s, k)`` maps nodes ``s`` and their step indices ``k`` (step k is
+    ``[times[k], times[k+1]]``) to ``width`` integrand columns; one row of
+    integrals per step is returned. The first call of ``f`` covers every
+    step's whole panel. Each later round pops, in every step with panels
+    still to test, the panel with the largest error and evaluates the halves
+    of all of them together, in calls of bounded size. A panel is accepted
+    when its value agrees with the sum of its halves to within 1e-10 in every
+    component. Non-finite values raise ``ValueError``. A panel still rejected
+    after 48 halvings is accepted with a ``RuntimeWarning`` that names its
+    interval. Each step evaluates at most 1000 panels; then its panels not
+    yet split are accepted as they are and one ``RuntimeWarning`` names the
+    step and the panel count. A step's accepted panels add in interval order.
     """
-    panels = 1
-    accepted = []
-    # Panels still to test, keyed by the error of the panel they halve.
-    pending = [(0.0, a, b, _gl_panel(f, a, b), 0)]
-    while pending:
-        _, lo, hi, whole, depth = heapq.heappop(pending)
-        if panels + 2 > _GL_MAX_PANELS:
-            accepted.append((lo, whole))
-            accepted.extend((entry[1], entry[3]) for entry in pending)
-            warnings.warn(
-                f"quadrature on [{a!r}, {b!r}] missed tolerance {_GL_TOL} "
-                f"when its budget ran out after {panels} panels",
-                RuntimeWarning,
-            )
+    bounds, count = times.tolist(), len(times) - 1
+    wholes = _gl_panels(f, width, times[:-1], times[1:], np.arange(count))
+    panels, accepted = [1] * count, [[] for _ in range(count)]
+    # Per step, the panels still to test, keyed by the error of the panel they halve.
+    pending = [[(0.0, bounds[k], bounds[k + 1], wholes[k], 0)] for k in range(count)]
+    while True:
+        popped = []
+        for k, heap in enumerate(pending):
+            if heap and panels[k] + 2 > _GL_MAX_PANELS:
+                accepted[k].extend((lo, whole) for _, lo, _, whole, _ in heap)
+                heap.clear()
+                warnings.warn(
+                    f"quadrature on [{bounds[k]!r}, {bounds[k + 1]!r}] missed tolerance "
+                    f"{_GL_TOL} when its budget ran out after {panels[k]} panels",
+                    RuntimeWarning,
+                )
+            elif heap:
+                panels[k] += 2
+                popped.append((k, *heapq.heappop(heap)))
+        if not popped:
             break
-        panels += 2
-        mid = 0.5 * (lo + hi)
-        left = _gl_panel(f, lo, mid)
-        right = _gl_panel(f, mid, hi)
-        error = np.max(np.abs(left + right - whole))
-        if error <= _GL_TOL:
-            accepted.append((lo, left + right))
-        elif depth >= _GL_MAX_DEPTH:
-            warnings.warn(
-                f"quadrature on [{lo!r}, {hi!r}] missed tolerance {_GL_TOL} "
-                f"after {_GL_MAX_DEPTH} halvings",
-                RuntimeWarning,
-            )
-            accepted.append((lo, left + right))
-        else:
-            heapq.heappush(pending, (-error, lo, mid, left, depth + 1))
-            heapq.heappush(pending, (-error, mid, hi, right, depth + 1))
-    accepted.sort(key=lambda panel: panel[0])
-    return sum(value for _, value in accepted)
+        ks, _, los, his, olds, depths = zip(*popped)
+        cuts = np.stack((los, 0.5 * (np.array(los) + his), his), axis=1)
+        halves = _gl_panels(f, width, cuts[:, :2].ravel(), cuts[:, 1:].ravel(), np.repeat(ks, 2))
+        halves = halves.reshape(-1, 2, width)
+        sums = halves[:, 0] + halves[:, 1]
+        errors = np.max(np.abs(sums - np.array(olds)), axis=1)
+        for k, (lo, mid, hi), depth, (left, right), total, error in zip(
+            ks, cuts.tolist(), depths, halves, sums, errors
+        ):
+            if error > _GL_TOL and depth < _GL_MAX_DEPTH:
+                heapq.heappush(pending[k], (-error, lo, mid, left, depth + 1))
+                heapq.heappush(pending[k], (-error, mid, hi, right, depth + 1))
+                continue
+            if error > _GL_TOL:
+                warnings.warn(
+                    f"quadrature on [{lo!r}, {hi!r}] missed tolerance {_GL_TOL} "
+                    f"after {_GL_MAX_DEPTH} halvings",
+                    RuntimeWarning,
+                )
+            accepted[k].append((lo, total))
+    return np.array([sum(v for _, v in sorted(step, key=lambda p: p[0])) for step in accepted])

@@ -123,7 +123,7 @@ def _parse_state(text: str, min_modes: int = 1) -> SpectralState:
         return SpectralState.unit_mode(int(match.group(1)), min_modes)
     if text.startswith("["):
         coeffs = json.loads(text)
-        return SpectralState([float(c) for c in coeffs])
+        return SpectralState([_parse_number(c, "state coefficient") for c in coeffs])
     raise ValueError(f"cannot parse state {text!r}: use 0, phiN, or a JSON list")
 
 

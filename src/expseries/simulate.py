@@ -13,13 +13,13 @@ synthesis. Arbitrary callable controls advance by the exact step recursion
 
     F_k = exp(mu h_k) F_{k-1} + beta * integral_{t_{k-1}}^{t_k} exp(mu (t_k-s)) u(s) ds,
 
-with one adaptive Gauss-Legendre quadrature per step whose panels call
-``u`` once for every mode. Every node value must be finite (``ValueError``
+where one adaptive Gauss-Legendre quadrature integrates every step and every
+mode at once: each call of ``u`` serves the panels of all steps in a round,
+in blocks of bounded size. Every node value must be finite (``ValueError``
 otherwise); a panel that misses the tolerance at the depth limit, and a step
-whose quadrature runs out of its panel budget, each emit a
-``RuntimeWarning``. Distributed controls drive each mode through its own
-channel with weight ``gamma_j`` (the per-mode convention shared with the
-synthesizer).
+that runs out of its panel budget, each emit a ``RuntimeWarning``.
+Distributed controls drive each mode through its own channel with weight
+``gamma_j`` (the per-mode convention shared with the synthesizer).
 """
 
 from __future__ import annotations
@@ -87,12 +87,12 @@ def propagate(
 
     ``control`` may be None (free decay), a :class:`ControlFunction`, or a
     plain callable ``u(s)`` treated as a lumped profile. A callable is
-    integrated once per grid step, all modes together, with adaptive
-    Gauss-Legendre panels (tolerance 1e-10 per step), and the forced parts
-    are carried between steps by ``exp(mu h)``. ``ValueError`` is raised if
-    ``u`` is not finite at a quadrature node; ``RuntimeWarning`` is emitted if
-    a panel misses the tolerance at the depth limit or a step spends its
-    budget of 1000 panels.
+    integrated on every grid step and mode at once with adaptive
+    Gauss-Legendre panels (tolerance 1e-10 per panel, each call of ``u``
+    serving a round of panels), and the forced parts are carried between
+    steps by ``exp(mu h)``. ``ValueError`` is raised if ``u`` is not finite
+    at a quadrature node; ``RuntimeWarning`` is emitted if a panel misses the
+    tolerance at the depth limit or a step spends its budget of 1000 panels.
     """
     horizon = _require_positive(horizon, "horizon")
     steps = int(steps)
@@ -129,17 +129,17 @@ def propagate(
             states[:, cols] += weights * c * np.exp(nu * (horizon - times))[:, None] * conv
     elif callable(control):
         u = _vectorized(control)
+        integrals = adaptive_gauss_legendre(
+            lambda s, k: np.exp(np.outer(times[k + 1] - s, rates))
+            * np.asarray(u(s), dtype=float)[:, None],
+            times,
+            n,
+        )
         betas = _couplings(actuator, n)
         forced = np.zeros(n)
-        for k in range(1, steps + 1):
-            lo, hi = float(times[k - 1]), float(times[k])
-            step = adaptive_gauss_legendre(
-                lambda s: np.exp(np.outer(hi - s, rates)) * np.asarray(u(s), dtype=float)[:, None],
-                lo,
-                hi,
-            )
-            forced = np.exp(rates * (hi - lo)) * forced + betas * step
-            states[k] += forced
+        for k, (decay, step) in enumerate(zip(np.exp(np.outer(np.diff(times), rates)), integrals)):
+            forced = decay * forced + betas * step
+            states[k + 1] += forced
     elif control is not None:
         raise TypeError("control must be None, a ControlFunction, or a callable u(s)")
 

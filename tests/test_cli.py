@@ -217,6 +217,15 @@ class TestControlCommands:
         assert code == 2
         assert "must be finite" in capsys.readouterr().err
 
+    def test_bool_state_coefficient_is_validation_error(self, capsys):
+        code = main(
+            ["control", "observability", "--a", "0", "--b", "1/2", "--y", "[true, false, 1]", "--T", "1"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "must be a number, got a bool" in captured.err
+
     def test_bad_exact_string_is_validation_error(self, capsys):
         code = main(["control", "analyze", "--a", "zero", "--b", "1"])
         assert code == 2

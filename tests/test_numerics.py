@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import expseries
 from expseries._numerics import row_sums
 
 INF, NAN = math.inf, math.nan
@@ -97,3 +102,17 @@ class TestRowSums:
         table[1] = np.concatenate([table[0, :2500], -table[0, :2500]])
         expected = [math.fsum(row.tolist()).hex() for row in table]
         assert [s.hex() for s in row_sums(table)] == expected
+
+
+def test_cli_import_leaves_numpy_polynomial_unloaded():
+    # The quadrature nodes are built on first use, not at import.
+    src_dir = Path(expseries.__file__).resolve().parents[1]
+    probe = "import sys, expseries.cli; print('numpy.polynomial' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src_dir)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "False"

@@ -4,8 +4,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from expseries._numerics import BLOCK_ELEMENTS
 from expseries.cli import main
 from expseries.control import (
     ControlFunction,
@@ -144,16 +146,51 @@ class TestPropagate:
         assert abs(traj.states[-1, 0] - exact) < tol
 
     def test_smooth_callable_is_integrated_once_per_step(self):
+        # The probe, one call for the whole-step panels of every step and one
+        # for all their halves; at 256 steps the halves exceed BLOCK_ELEMENTS
+        # node values and are split into blocks. The count does not grow with steps.
         act = Actuator.from_strings("0", "1")
-        calls = []
+        for steps, most in ((64, 3), (256, 5)):
+            calls = []
+
+            def u(s):
+                calls.append(1)
+                return 0.5 * np.exp(eigenvalue(1) * (1.0 - np.asarray(s)))
+
+            propagate(SpectralState.unit_mode(1, 3), u, act, 1.0, steps=steps)
+            assert len(calls) <= most, steps
+
+    @pytest.mark.parametrize("n_modes", [3, 9, 1500])
+    def test_no_call_sees_more_than_a_block(self, n_modes):
+        act = Actuator.from_strings("0", "1")
+        sizes = []
 
         def u(s):
-            calls.append(1)
-            return 0.5 * np.exp(eigenvalue(1) * (1.0 - np.asarray(s)))
+            sizes.append(len(s))
+            return np.sqrt(np.abs(np.asarray(s) - 0.37))
 
-        steps = 64
-        propagate(SpectralState.unit_mode(1, 3), u, act, 1.0, steps=steps)
-        assert len(calls) <= 3 * steps + 2
+        propagate(SpectralState.unit_mode(1, n_modes), u, act, 1.0, steps=256)
+        assert len(sizes) > 4  # a non-smooth control needs several rounds
+        # At least one 16-node panel per call, however many modes there are.
+        assert all(size * n_modes <= max(BLOCK_ELEMENTS, 16 * n_modes) for size in sizes)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        terms=st.lists(
+            st.tuples(st.floats(-400.0, 2.0), st.floats(-1.0, 1.0)), min_size=1, max_size=6
+        ),
+        n_modes=st.integers(2, 8),
+        steps=st.integers(16, 128),
+        ends=st.tuples(st.integers(0, 12), st.integers(1, 12)).filter(lambda e: e[0] < e[1]),
+    )
+    def test_callable_profile_matches_closed_form(self, terms, n_modes, steps, ends):
+        act = Actuator.from_strings(f"{ends[0]}/12", f"{ends[1]}/12")
+        exponents, coeffs = zip(*terms)
+        control = ControlFunction(kind="lumped", horizon=1.0, exponents=exponents, coeffs=coeffs)
+        z0 = SpectralState(tuple(np.linspace(1.0, -0.5, n_modes)))
+        closed = propagate(z0, control, act, 1.0, steps=steps)
+        quadrature = propagate(z0, control.profile, act, 1.0, steps=steps)
+        assert np.max(np.abs(closed.states - quadrature.states)) < 1e-9
 
     def test_blocked_modes_under_callable_match_free_decay(self):
         act = Actuator.from_strings("0", "1/2")
