@@ -28,7 +28,7 @@ def main() -> None:
     print(f"{'noise':>8} {'recovered coefficients':>42} {'max error':>12}")
     for sigma in (0.0, 1e-4, 1e-6, 1e-8):
         noisy = clean + rng.standard_normal(len(times)) * sigma
-        signal = SampledSignal(times.tolist(), noisy.tolist(), 6.0)
+        signal = SampledSignal(times, noisy, 6.0)
         result = peel_leading(signal, lams, 3)
         estimates = [a for a, _ in result.recovered]
         error = max(abs(e - a) for e, a in zip(estimates, alphas))

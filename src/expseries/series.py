@@ -10,8 +10,8 @@ truncated away. Every operation returns plain values plus, where meaningful,
 a rigorous bound on the omitted tail contribution, so downstream consumers
 (Taylor expansion, vanishing tests) stay fully certified.
 
-Terms are kept sorted by strictly increasing exponent; duplicate exponents
-are rejected at construction.
+Terms are stored as read-only arrays sorted by strictly increasing exponent;
+duplicate exponents are rejected at construction.
 Sums over terms are correctly rounded by ``_numerics.row_sums``, which
 returns what ``math.fsum`` returns, bit for bit, so the order in which terms
 are added does not change them.
@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -107,50 +108,56 @@ class SeriesValue:
             raise ValueError("error_bound must be nonnegative")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class DirichletSeries:
     """A finite exponential sum ``sum_j alpha_j exp(-lambda_j t)``.
 
-    ``terms`` is stored sorted by strictly increasing exponent; an optional
-    ``tail`` certifies everything beyond the explicit terms. Instances are
-    immutable and safe to share across threads.
+    ``alphas`` and ``lambdas`` are read-only arrays sorted by strictly
+    increasing exponent, and ``terms`` derives its float pairs from them; an
+    optional ``tail`` certifies everything beyond the explicit terms.
+    Instances are immutable and safe to share across threads.
     """
 
-    terms: tuple[tuple[float, float], ...]
+    alphas: np.ndarray
+    lambdas: np.ndarray
     tail: TailModel | None
 
-    def __init__(
-        self,
-        terms: Iterable[Sequence[float]],
-        tail: TailModel | None = None,
-    ) -> None:
-        cleaned = []
-        for pair in terms:
-            alpha, lam = pair
-            cleaned.append(
-                (_require_finite(alpha, "coefficient"), _require_finite(lam, "exponent"))
-            )
-        if not cleaned:
+    def __init__(self, terms: Iterable[Sequence[float]], tail: TailModel | None = None) -> None:
+        pairs = list(terms)
+        if not pairs:
             raise ValueError("a series needs at least one term")
-        cleaned.sort(key=lambda item: item[1])
-        for (_, left), (_, right) in zip(cleaned, cleaned[1:]):
-            if left == right:
-                raise ValueError(f"duplicate exponent {left!r}")
+        if set(map(len, pairs)) != {2}:
+            raise ValueError("every term must be a (coefficient, exponent) pair")
+        flat = np.fromiter(chain.from_iterable(pairs), float, 2 * len(pairs))
+        finite = np.isfinite(flat)
+        if not finite.all():  # named after the first bad entry, in input order
+            raise ValueError(f"{('coefficient', 'exponent')[finite.argmin() % 2]} must be finite")
+        order = np.argsort(flat[1::2], kind="stable")
+        alphas, lambdas = flat[0::2][order], flat[1::2][order]
+        alphas.flags.writeable = lambdas.flags.writeable = False
+        repeated = lambdas[1:] == lambdas[:-1]
+        if repeated.any():
+            raise ValueError(f"duplicate exponent {lambdas[repeated.argmax()].item()!r}")
         if tail is not None and not isinstance(tail, TailModel):
             raise TypeError("tail must be a TailModel or None")
-        object.__setattr__(self, "terms", tuple(cleaned))
+        object.__setattr__(self, "alphas", alphas)
+        object.__setattr__(self, "lambdas", lambdas)
         object.__setattr__(self, "tail", tail)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.lambdas)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DirichletSeries):
+            return NotImplemented
+        return (self.terms, self.tail) == (other.terms, other.tail)
+
+    def __hash__(self) -> int:
+        return hash((self.terms, self.tail))
 
     @cached_property
-    def alphas(self) -> np.ndarray:
-        return np.array([alpha for alpha, _ in self.terms], dtype=float)
-
-    @cached_property
-    def lambdas(self) -> np.ndarray:
-        return np.array([lam for _, lam in self.terms], dtype=float)
+    def terms(self) -> tuple[tuple[float, float], ...]:
+        return tuple(zip(self.alphas.tolist(), self.lambdas.tolist()))
 
     @cached_property
     def sum_abs_coefficients(self) -> float:
@@ -191,23 +198,23 @@ def shift_normalize(series: DirichletSeries) -> tuple[DirichletSeries, float]:
     with ``shift = lambda_min - 1``. Targeting 1 (not 0) keeps later
     divisions by exponents well conditioned.
     """
-    lam_min = series.terms[0][1]
+    lam_min, lam_max = series.lambdas[[0, -1]].tolist()
     shift = lam_min - 1.0
     # (lam - lam_min) + 1 rather than lam - shift: the smallest exponent maps
     # to exactly 1.0 and none can round below it.
-    new_terms = [(alpha, (lam - lam_min) + 1.0) for alpha, lam in series.terms]
+    new_lambdas = (series.lambdas - lam_min) + 1.0
     tail = series.tail
     if tail is not None:
         # Tail exponents follow the explicit ones in an increasing sequence,
         # so max(explicit lambda) is also a certified tail floor.
-        floor = (max(tail.lambda_floor, series.terms[-1][1]) - lam_min) + 1.0
+        floor = (max(tail.lambda_floor, lam_max) - lam_min) + 1.0
         if shift <= 0:
             # Exponents grow under the shift, so stored weighted bounds stay valid.
             weighted = {k: b for k, b in tail.weighted_bounds if k > 0}
         else:
             weighted = {}
         tail = TailModel(tail.sum_bound, floor, tuple(weighted.items()))
-    return DirichletSeries(new_terms, tail), shift
+    return DirichletSeries(zip(series.alphas.tolist(), new_lambdas.tolist()), tail), shift
 
 
 def antiderivative_reduce(series: DirichletSeries, k: int) -> DirichletSeries:
@@ -226,7 +233,7 @@ def antiderivative_reduce(series: DirichletSeries, k: int) -> DirichletSeries:
     lams = series.lambdas
     if np.any(lams <= 0):
         raise ValueError("all exponents must be strictly positive; shift_normalize first")
-    coeffs = series.alphas.copy()
+    coeffs = series.alphas
     for _ in range(k):
         coeffs = coeffs / lams
     tail = series.tail
@@ -235,4 +242,4 @@ def antiderivative_reduce(series: DirichletSeries, k: int) -> DirichletSeries:
         weighted = {kk - k: bound for kk, bound in tail.weighted_bounds if kk >= k}
         weighted[0] = new_sum
         tail = TailModel(new_sum, tail.lambda_floor, tuple(weighted.items()))
-    return DirichletSeries(zip(coeffs, lams), tail)
+    return DirichletSeries(zip(coeffs.tolist(), lams.tolist()), tail)

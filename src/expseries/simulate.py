@@ -192,7 +192,7 @@ def observability_signal(
     weights = _couplings(actuator, n) * y.coeff_array
     times = np.linspace(0.0, horizon, samples)
     values = np.exp(np.outer(times, rates)) @ weights
-    return SampledSignal(times.tolist(), values.tolist(), horizon)
+    return SampledSignal(times, values, horizon)
 
 
 def observability_series(y: SpectralState, actuator: Actuator) -> DirichletSeries:

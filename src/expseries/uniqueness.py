@@ -34,40 +34,50 @@ class SeparationWarning(UserWarning):
     """Exponent gaps too small for the sampling horizon to separate modes."""
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class SampledSignal:
-    """A real signal sampled at strictly increasing times within [0, horizon]."""
+    """A real signal sampled at strictly increasing times within [0, horizon].
 
-    times: tuple[float, ...]
-    values: tuple[float, ...]
+    ``time_array`` and ``value_array`` are read-only 1-D arrays, and ``times``
+    and ``values`` derive float tuples from them. Instances are immutable and
+    compare by identity.
+    """
+
+    time_array: np.ndarray
+    value_array: np.ndarray
     horizon: float
 
     def __init__(self, times: Sequence[float], values: Sequence[float], horizon: float) -> None:
         horizon = _require_positive(horizon, "horizon")
-        times = tuple(_require_finite(t, "sample time") for t in times)
-        values = tuple(_require_finite(v, "sample value") for v in values)
-        if not times:
+        times, values = np.array(times, dtype=float), np.array(values, dtype=float)
+        for array, name in ((times, "sample time"), (values, "sample value")):
+            if array.ndim != 1:
+                raise ValueError(f"{name}s must be one-dimensional")
+            if not np.isfinite(array).all():
+                raise ValueError(f"{name} must be finite")
+            array.flags.writeable = False
+        if not len(times):
             raise ValueError("signal needs at least one sample")
         if len(times) != len(values):
             raise ValueError("times and values must have equal length")
-        if any(b <= a for a, b in zip(times, times[1:])):
+        if (times[1:] <= times[:-1]).any():
             raise ValueError("sample times must be strictly increasing")
         if times[0] < 0 or times[-1] > horizon:
             raise ValueError("sample times must lie within [0, horizon]")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "time_array", times)
+        object.__setattr__(self, "value_array", values)
         object.__setattr__(self, "horizon", horizon)
 
     def __len__(self) -> int:
-        return len(self.times)
+        return len(self.time_array)
 
     @cached_property
-    def time_array(self) -> np.ndarray:
-        return np.array(self.times, dtype=float)
+    def times(self) -> tuple[float, ...]:
+        return tuple(self.time_array.tolist())
 
     @cached_property
-    def value_array(self) -> np.ndarray:
-        return np.array(self.values, dtype=float)
+    def values(self) -> tuple[float, ...]:
+        return tuple(self.value_array.tolist())
 
 
 @dataclass(frozen=True)
