@@ -66,9 +66,13 @@ def row_sums(table: np.ndarray) -> list[float]:
     floating-point summation, part I", SIAM J. Sci. Comput. 2008): with
     ``sigma = 2**(e + M)``, ``max|p| < 2**e`` and ``2**M >= 2n``, the high
     parts ``q = (sigma + p) - sigma`` sum exactly to ``tau`` and
-    ``p - q`` is the exact rest. A row is decided once ``tau_1 + ... + tau_k``
-    rounds to the same float with the rest's bound ``B >= sum|p|`` added and
-    subtracted, which suffices because correct rounding is monotone. Rows that
+    ``r = p - q`` is the exact rest. numpy's sum ``g`` of a row's rest errs by at
+    most ``gamma_{n-1} * sum|r|`` in any order of addition (Higham, "Accuracy and
+    Stability of Numerical Algorithms", 2nd ed., section 4.2), which the slack
+    ``E``, ``2**(M - 51)`` times the computed ``sum|r|`` rounded up, covers. A row
+    is decided once ``tau_1 + ... + tau_k + g`` rounds to the same float with
+    ``E`` added and subtracted, which suffices because correct rounding is
+    monotone; one pass settles nearly every row. Rows that
     are not finite, all zero, or out of the exponent range where ``sigma`` is a
     normal float, and rows still undecided after the last pass, are summed by
     ``math.fsum`` itself, so its signed zeros, ``OverflowError`` and inf/NaN
@@ -84,28 +88,30 @@ def row_sums(table: np.ndarray) -> list[float]:
     fallback = []
     live = np.arange(rows)
     rest = table.copy()
-    largest = np.max(np.abs(rest), axis=1)
+    magnitudes = np.abs(rest)
     for _ in range(_ROW_SUM_PASSES):
         if not len(live):
             break
+        largest = magnitudes.max(axis=1)
         exponent = np.frexp(largest)[1] + extra
         ok = np.isfinite(largest) & (largest > 0) & (exponent >= -1022) & (exponent <= 1023)
         if not ok.all():
             fallback.extend(zip(live[~ok].tolist(), rest[~ok]))
             live, rest, exponent = live[ok], rest[ok], exponent[ok]
         new_taus = _extract_vector(rest, exponent)
-        largest = np.max(np.abs(rest), axis=1)
-        spans = np.ldexp(largest, extra).tolist()
+        magnitudes = np.abs(rest)
+        naive = rest.sum(axis=1).tolist()
+        slack = np.nextafter(np.ldexp(magnitudes.sum(axis=1), extra - 51), math.inf).tolist()
         undecided = []
-        for i, (r, tau, span) in enumerate(zip(live.tolist(), new_taus, spans)):
+        for i, (r, tau, g, err) in enumerate(zip(live.tolist(), new_taus, naive, slack)):
             parts = taus[r]
             parts.append(tau)
-            total = math.fsum(parts)
-            if math.fsum(parts + [span]) == total == math.fsum(parts + [-span]):
-                sums[r] = total
+            low = math.fsum(parts + [g, -err])
+            if low == math.fsum(parts + [g, err]):
+                sums[r] = low
             else:
                 undecided.append(i)
-        live, rest, largest = live[undecided], rest[undecided], largest[undecided]
+        live, rest, magnitudes = live[undecided], rest[undecided], magnitudes[undecided]
     fallback.extend(zip(live.tolist(), rest))
     for r, row in fallback:
         sums[r] = math.fsum(taus[r] + row.tolist())

@@ -47,7 +47,11 @@ class ConditioningError(Exception):
 
 @dataclass(frozen=True, init=False)
 class SpectralState:
-    """Coordinates of a state in the eigenbasis {phi_j}, modes 1..N."""
+    """Coordinates of a state in the eigenbasis {phi_j}, modes 1..N.
+
+    ``coeff_array`` is a read-only array of ``coeffs``; copies and pickles are
+    rebuilt through the constructor.
+    """
 
     coeffs: tuple[float, ...]
 
@@ -75,9 +79,14 @@ class SpectralState:
     def n_modes(self) -> int:
         return len(self.coeffs)
 
+    def __reduce__(self):
+        return SpectralState, (self.coeffs,)
+
     @cached_property
     def coeff_array(self) -> np.ndarray:
-        return np.array(self.coeffs, dtype=float)
+        array = np.array(self.coeffs, dtype=float)
+        array.flags.writeable = False
+        return array
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeff_array))

@@ -115,7 +115,8 @@ class DirichletSeries:
     ``alphas`` and ``lambdas`` are read-only arrays sorted by strictly
     increasing exponent, and ``terms`` derives its float pairs from them; an
     optional ``tail`` certifies everything beyond the explicit terms.
-    Instances are immutable and safe to share across threads.
+    Instances are immutable and safe to share across threads; copies and
+    pickles are rebuilt through the constructor.
     """
 
     alphas: np.ndarray
@@ -146,6 +147,9 @@ class DirichletSeries:
 
     def __len__(self) -> int:
         return len(self.lambdas)
+
+    def __reduce__(self):
+        return DirichletSeries, (self.terms, self.tail)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DirichletSeries):

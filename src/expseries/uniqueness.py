@@ -39,8 +39,8 @@ class SampledSignal:
     """A real signal sampled at strictly increasing times within [0, horizon].
 
     ``time_array`` and ``value_array`` are read-only 1-D arrays, and ``times``
-    and ``values`` derive float tuples from them. Instances are immutable and
-    compare by identity.
+    and ``values`` derive float tuples from them. Instances are immutable,
+    compare by identity, and are copied and pickled through the constructor.
     """
 
     time_array: np.ndarray
@@ -70,6 +70,9 @@ class SampledSignal:
 
     def __len__(self) -> int:
         return len(self.time_array)
+
+    def __reduce__(self):
+        return SampledSignal, (self.time_array, self.value_array, self.horizon)
 
     @cached_property
     def times(self) -> tuple[float, ...]:

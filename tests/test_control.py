@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -278,6 +280,22 @@ class TestSpectralState:
             SpectralState(())
         with pytest.raises(ValueError):
             SpectralState((math.nan,))
+
+    def test_coefficient_array_rejects_writes(self):
+        y = SpectralState([1.0, 0.0])
+        with pytest.raises(ValueError, match="read-only"):
+            y.coeff_array[1] = 50.0
+        assert y.norm() == 1.0 and y.coeffs == (1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "clone", [copy.deepcopy, lambda y: pickle.loads(pickle.dumps(y))], ids=["deepcopy", "pickle"]
+    )
+    def test_copies_keep_the_array_read_only(self, clone):
+        y = SpectralState([1.0, 0.5])
+        y.coeff_array  # cache it before copying
+        twin = clone(y)
+        assert twin == y and not twin.coeff_array.flags.writeable
+        assert twin.coeff_array.tolist() == [1.0, 0.5]
 
 
 class TestControlFunction:

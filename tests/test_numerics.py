@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import expseries
-from expseries._numerics import row_sums
+from expseries import _numerics
+from expseries._numerics import BLOCK_ELEMENTS, row_sums
 
 INF, NAN = math.inf, math.nan
 
@@ -102,6 +103,47 @@ class TestRowSums:
         table[1] = np.concatenate([table[0, :2500], -table[0, :2500]])
         expected = [math.fsum(row.tolist()).hex() for row in table]
         assert [s.hex() for s in row_sums(table)] == expected
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("exponent", [-900, 0, 900])
+    def test_slack_covers_the_rounding_of_the_rest_sum(self, sign, exponent):
+        # After one pass the rest is [0, c, b, -c, s]; added in order, b is
+        # lost beside c and the naive sum is s, just below the tie at 2**-53,
+        # while the true sum 2**-53 + 2**-110 lies above it. Only a slack that
+        # covers b keeps this row from being decided as 1.0.
+        c, b, s = 2.0**-50, 2.0**-106 + 2.0**-110, 2.0**-53 - 2.0**-106
+        scale = sign * 2.0**exponent
+        table = scale * np.array([[1.0, c, b, -c, s]])
+        expected = scale * (1.0 + 2.0**-52)
+        assert math.fsum(table[0].tolist()) == expected
+        assert row_sums(table)[0].hex() == expected.hex()
+
+    def test_taylor_rows_are_decided_in_one_pass(self, monkeypatch):
+        # One block as taylor.expand builds it: rows alpha_j e^{-lambda_j}
+        # (-lambda_j)^n / n! and their magnitudes, for n = 0 .. 15.
+        rng = np.random.default_rng(5)
+        width = BLOCK_ELEMENTS // 32
+        lams = rng.uniform(0.1, 100.0, width)
+        alphas = rng.choice([-1.0, 1.0], width) * rng.uniform(0.0, 1.0, width)
+        term, table = alphas * np.exp(-lams), []
+        for n in range(16):
+            if n:
+                term = term * -lams / n
+            table += [term, np.abs(term)]
+        table = np.array(table)
+        assert table.size == BLOCK_ELEMENTS
+        passes = 0
+        extract = _numerics._extract_vector
+
+        def counting(*args):
+            nonlocal passes
+            passes += 1
+            return extract(*args)
+
+        monkeypatch.setattr(_numerics, "_extract_vector", counting)
+        sums = row_sums(table)
+        assert passes == 1
+        assert [s.hex() for s in sums] == [math.fsum(row.tolist()).hex() for row in table]
 
 
 def test_cli_import_leaves_numpy_polynomial_unloaded():

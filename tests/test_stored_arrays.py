@@ -6,8 +6,10 @@ in the same order and raise the same exceptions with the same messages; a
 profiler hook checks that they make no Python call per element.
 """
 
+import copy
 import gc
 import math
+import pickle
 import sys
 from fractions import Fraction
 
@@ -227,6 +229,36 @@ class TestReadOnly:
         t[0], v[0] = 0.5, 7.0
         assert signal.times[0] == 0.0 and signal.values[0] == 1.0
         assert t.flags.writeable and v.flags.writeable
+
+
+CLONES = [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))]
+
+
+class TestCopies:
+    """Copies are rebuilt through the constructor, so their arrays stay read-only."""
+
+    @pytest.mark.parametrize("clone", CLONES, ids=["deepcopy", "pickle"])
+    def test_series_copy(self, clone):
+        s = DirichletSeries([(2.0, 3.0), (-1.5, 0.5)], TailModel(1e-3, 10.0))
+        s.terms  # cache it before copying
+        twin = clone(s)
+        assert twin == s and twin.tail == s.tail
+        for mine, theirs in ((twin.alphas, s.alphas), (twin.lambdas, s.lambdas)):
+            assert not mine.flags.writeable
+            assert mine.tolist() == theirs.tolist()
+        assert twin.terms == ((-1.5, 0.5), (2.0, 3.0))
+
+    @pytest.mark.parametrize("clone", CLONES, ids=["deepcopy", "pickle"])
+    def test_signal_copy(self, clone):
+        t = np.linspace(0.0, 2.0, 5)
+        signal = SampledSignal(t, np.exp(-t), 2.0)
+        signal.times  # cache it before copying
+        twin = clone(signal)
+        assert twin.horizon == 2.0
+        for mine, theirs in ((twin.time_array, t), (twin.value_array, np.exp(-t))):
+            assert not mine.flags.writeable
+            assert mine.tolist() == theirs.tolist()
+        assert twin.times == signal.times and twin.values == signal.values
 
 
 class TestSeriesEquality:
