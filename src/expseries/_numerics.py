@@ -41,27 +41,12 @@ def exp_integral_grid(rates: np.ndarray, times: np.ndarray) -> np.ndarray:
 # Callers that sum many rows hand row_sums blocks of about this many elements,
 # so that a long table never sits in memory whole (128 KB per block).
 BLOCK_ELEMENTS = 16_384
-# Extraction passes before an undecided row is summed by math.fsum.
-_ROW_SUM_PASSES = 4
-
-
-def _extract_vector(rest: np.ndarray, exponent: np.ndarray) -> list[float]:
-    """One error-free pass with ``sigma = 2**exponent`` per row.
-
-    Returns the exact sum of each row's high part and leaves the rest in
-    ``rest``.
-    """
-    sigma = np.ldexp(1.0, exponent)[:, None]
-    high = sigma + rest
-    high -= sigma
-    rest -= high
-    return high.sum(axis=1).tolist()
 
 
 def row_sums(table: np.ndarray) -> list[float]:
     """The correctly rounded sum of each row of a 2-D float array.
 
-    Each result equals ``math.fsum(row.tolist())`` bit for bit. Every pass
+    Each result equals ``math.fsum(row.tolist())`` bit for bit. One pass
     splits the whole block error-free (Rump, Ogita and Oishi, "Accurate
     floating-point summation, part I", SIAM J. Sci. Comput. 2008): with
     ``sigma = 2**(e + M)``, ``max|p| < 2**e`` and ``2**M >= 2n``, the high
@@ -69,13 +54,12 @@ def row_sums(table: np.ndarray) -> list[float]:
     ``r = p - q`` is the exact rest. numpy's sum ``g`` of a row's rest errs by at
     most ``gamma_{n-1} * sum|r|`` in any order of addition (Higham, "Accuracy and
     Stability of Numerical Algorithms", 2nd ed., section 4.2), which the slack
-    ``E``, ``2**(M - 51)`` times the computed ``sum|r|`` rounded up, covers. A row
-    is decided once ``tau_1 + ... + tau_k + g`` rounds to the same float with
-    ``E`` added and subtracted, which suffices because correct rounding is
-    monotone; one pass settles nearly every row. Rows that
-    are not finite, all zero, or out of the exponent range where ``sigma`` is a
-    normal float, and rows still undecided after the last pass, are summed by
-    ``math.fsum`` itself, so its signed zeros, ``OverflowError`` and inf/NaN
+    ``E``, ``2**(M - 51)`` times the computed ``sum|r|`` rounded up, covers. When
+    ``tau + g`` rounds to the same float with ``E`` added and subtracted, that
+    float is the row's sum, because correct rounding is monotone; otherwise the
+    row's sum is ``math.fsum([tau, *r])``. Rows that are not finite, all zero,
+    or out of the exponent range where ``sigma`` is a normal float are summed
+    by ``math.fsum`` itself, so its signed zeros, ``OverflowError`` and inf/NaN
     behaviour carry over.
     """
     table = np.asarray(table, dtype=float)
@@ -84,37 +68,24 @@ def row_sums(table: np.ndarray) -> list[float]:
         return [math.fsum(())] * rows
     extra = (2 * n - 1).bit_length()  # M, the smallest with 2**M >= 2n
     sums: list = [None] * rows
-    taus: list[list[float]] = [[] for _ in range(rows)]
-    fallback = []
-    live = np.arange(rows)
-    rest = table.copy()
-    magnitudes = np.abs(rest)
-    for _ in range(_ROW_SUM_PASSES):
-        if not len(live):
-            break
-        largest = magnitudes.max(axis=1)
-        exponent = np.frexp(largest)[1] + extra
-        ok = np.isfinite(largest) & (largest > 0) & (exponent >= -1022) & (exponent <= 1023)
-        if not ok.all():
-            fallback.extend(zip(live[~ok].tolist(), rest[~ok]))
-            live, rest, exponent = live[ok], rest[ok], exponent[ok]
-        new_taus = _extract_vector(rest, exponent)
-        magnitudes = np.abs(rest)
-        naive = rest.sum(axis=1).tolist()
-        slack = np.nextafter(np.ldexp(magnitudes.sum(axis=1), extra - 51), math.inf).tolist()
-        undecided = []
-        for i, (r, tau, g, err) in enumerate(zip(live.tolist(), new_taus, naive, slack)):
-            parts = taus[r]
-            parts.append(tau)
-            low = math.fsum(parts + [g, -err])
-            if low == math.fsum(parts + [g, err]):
-                sums[r] = low
-            else:
-                undecided.append(i)
-        live, rest, magnitudes = live[undecided], rest[undecided], magnitudes[undecided]
-    fallback.extend(zip(live.tolist(), rest))
-    for r, row in fallback:
-        sums[r] = math.fsum(taus[r] + row.tolist())
+    largest = np.abs(table).max(axis=1)
+    exponent = np.frexp(largest)[1] + extra
+    ok = np.isfinite(largest) & (largest > 0) & (exponent >= -1022) & (exponent <= 1023)
+    live = np.flatnonzero(ok)
+    for r in np.flatnonzero(~ok).tolist():
+        sums[r] = math.fsum(table[r].tolist())
+    if len(live) < rows:
+        table, exponent = table[live], exponent[live]
+    sigma = np.ldexp(1.0, exponent)[:, None]
+    high = sigma + table
+    high -= sigma
+    rest = table - high
+    taus = high.sum(axis=1).tolist()
+    naive = rest.sum(axis=1).tolist()
+    slack = np.nextafter(np.ldexp(np.abs(rest).sum(axis=1), extra - 51), math.inf).tolist()
+    for i, (r, tau, g, err) in enumerate(zip(live.tolist(), taus, naive, slack)):
+        low = math.fsum((tau, g, -err))
+        sums[r] = low if low == math.fsum((tau, g, err)) else math.fsum([tau, *rest[i].tolist()])
     return sums
 
 

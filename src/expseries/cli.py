@@ -57,16 +57,26 @@ def _parse_number(raw: object, name: str) -> float:
 def _series_from_document(doc) -> series.DirichletSeries:
     if "terms" not in doc:
         raise ValueError("series document lacks 'terms'")
+    terms = doc["terms"]
+    if not isinstance(terms, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 for pair in terms
+    ):
+        raise ValueError("'terms' must be a JSON array of [coefficient, exponent] arrays")
     terms = [
-        (_parse_number(pair[0], "coefficient"), _parse_number(pair[1], "exponent"))
-        for pair in doc["terms"]
+        (_parse_number(alpha, "coefficient"), _parse_number(lam, "exponent"))
+        for alpha, lam in terms
     ]
     tail_doc = doc.get("tail")
     tail = None
     if tail_doc is not None:
+        if not isinstance(tail_doc, dict):
+            raise ValueError("'tail' must be a JSON object")
+        weighted_doc = tail_doc.get("weightedBounds")
+        if not isinstance(weighted_doc, (dict, type(None))):
+            raise ValueError("'weightedBounds' must be a JSON object")
         weighted = {
             int(k): _parse_number(v, f"weighted bound k={k}")
-            for k, v in (tail_doc.get("weightedBounds") or {}).items()
+            for k, v in (weighted_doc or {}).items()
         }
         tail = series.TailModel(
             _parse_number(tail_doc["sumBound"], "sumBound"),
@@ -102,12 +112,18 @@ def _control_document(control: ControlFunction) -> dict:
     return doc
 
 
+def _numbers(doc: dict, key: str, name: str) -> tuple[float, ...]:
+    if not isinstance(doc[key], list):
+        raise ValueError(f"control '{key}' must be a JSON array")
+    return tuple(_parse_number(x, name) for x in doc[key])
+
+
 def _control_from_document(doc: dict) -> ControlFunction:
     return ControlFunction(
         kind=str(doc["kind"]),
-        horizon=float(doc["T"]),
-        exponents=tuple(float(x) for x in doc["exponents"]),
-        coeffs=tuple(float(x) for x in doc["coeffs"]),
+        horizon=_parse_number(doc["T"], "T"),
+        exponents=_numbers(doc, "exponents", "control exponent"),
+        coeffs=_numbers(doc, "coeffs", "control coefficient"),
         moment_residual=doc.get("momentResidual"),
         energy=doc.get("energy"),
         gram_condition=doc.get("gramCondition"),

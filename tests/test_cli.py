@@ -2,6 +2,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from expseries.cli import _control_from_document, main
 from expseries.heat import Actuator, blocked_set
@@ -255,6 +256,108 @@ class TestControlCommands:
         assert code == 2
         assert captured.out == ""
         assert "must be" in captured.err
+
+
+SERIES_DOC = {
+    "terms": [[1, 1], [0.5, 2]],
+    "tail": {"sumBound": 0.125, "lambdaFloor": 3, "weightedBounds": {"1": 0.05}},
+}
+CONTROL_DOC = {"kind": "lumped", "T": 1.0, "exponents": [-1.0], "coeffs": [0.5]}
+SIMULATE = ["control", "simulate", "--a", "0", "--b", "1/2", "--z0", "phi1", "--steps", "4"]
+
+# Small numbers, so that a document's structure is under test and not overflow.
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.sampled_from((0.5, -0.25, 1.5))
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def mutated(base: dict, fields, data) -> dict:
+    """``base`` with random JSON values for a nonempty subset of ``fields``.
+
+    ``weightedBounds`` sits inside ``tail``, so it must come before ``tail``.
+    """
+    doc = json.loads(json.dumps(base))
+    chosen = data.draw(st.sets(st.sampled_from(fields), min_size=1))
+    for field in (f for f in fields if f in chosen):
+        if field == "weightedBounds":
+            doc["tail"]["weightedBounds"] = data.draw(json_values)
+        else:
+            doc[field] = data.draw(json_values)
+    return doc
+
+
+class TestDocumentShapes:
+    @given(data=st.data())
+    def test_random_series_fields_never_escape_main(self, tmp_path_factory, data):
+        doc = mutated(SERIES_DOC, ("weightedBounds", "terms", "tail"), data)
+        path = tmp_path_factory.mktemp("series") / "series.json"
+        path.write_text(json.dumps(doc))
+        assert main(["series", "eval", "--t", "1", "--series", str(path)]) in (0, 2, 3)
+
+    @given(data=st.data())
+    def test_random_control_fields_never_escape_main(self, tmp_path_factory, data):
+        doc = mutated(CONTROL_DOC, ("T", "exponents", "coeffs"), data)
+        path = tmp_path_factory.mktemp("control") / "control.json"
+        path.write_text(json.dumps(doc))
+        assert main([*SIMULATE, "--control", str(path)]) in (0, 2, 3)
+
+    @pytest.mark.parametrize("terms", ['["12"]', "[[1,2,3]]", "[[1]]", "12", '{"1": 2}'])
+    def test_term_that_is_not_a_pair_is_validation_error(self, capsys, terms):
+        code = main(["series", "eval", "--terms", terms, "--t", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: 'terms' must be")
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"terms": ["1"]}, "error: 'terms' must be"),
+            ({"tail": [1, 2]}, "error: 'tail' must be"),
+            ({"tail": {**SERIES_DOC["tail"], "weightedBounds": [1]}}, "error: 'weightedBounds'"),
+        ],
+    )
+    def test_series_document_of_wrong_shape_is_validation_error(
+        self, tmp_path, capsys, change, message
+    ):
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps({**SERIES_DOC, **change}))
+        code = main(["series", "eval", "--t", "1", "--series", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith(message)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"exponents": "98", "coeffs": "12"}, "error: control 'exponents' must be a JSON array"),
+            ({"coeffs": [True]}, "error: control coefficient must be a number, got a bool"),
+            ({"T": True}, "error: T must be a number, got a bool"),
+        ],
+    )
+    def test_control_document_of_wrong_shape_is_validation_error(
+        self, tmp_path, capsys, change, message
+    ):
+        path = tmp_path / "control.json"
+        path.write_text(json.dumps({**CONTROL_DOC, **change}))
+        code = main([*SIMULATE, "--control", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith(message)
+
+    def test_narrow_distributed_actuator_is_controllable(self, capsys):
+        code, out = run(
+            capsys, "control", "analyze", "--kind", "distributed",
+            "--a", "1/2", "--b", "5000001/10000000",
+        )
+        assert code == 0
+        assert json.loads(out)["verdict"] == "controllable"
 
 
 class TestDeterminismAndConfig:

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 import expseries
-from expseries import _numerics
 from expseries._numerics import BLOCK_ELEMENTS, row_sums
 
 INF, NAN = math.inf, math.nan
@@ -118,7 +117,7 @@ class TestRowSums:
         assert math.fsum(table[0].tolist()) == expected
         assert row_sums(table)[0].hex() == expected.hex()
 
-    def test_taylor_rows_are_decided_in_one_pass(self, monkeypatch):
+    def test_taylor_rows_need_no_per_row_fsum(self, monkeypatch):
         # One block as taylor.expand builds it: rows alpha_j e^{-lambda_j}
         # (-lambda_j)^n / n! and their magnitudes, for n = 0 .. 15.
         rng = np.random.default_rng(5)
@@ -132,19 +131,23 @@ class TestRowSums:
             table += [term, np.abs(term)]
         table = np.array(table)
         assert table.size == BLOCK_ELEMENTS
-        passes = 0
-        extract = _numerics._extract_vector
+        expected = [math.fsum(row.tolist()).hex() for row in table]
+        # The one-pass test sums three numbers; a row that falls back to
+        # math.fsum hands it the row's whole rest.
+        whole_rows = 0
+        fsum = math.fsum
 
-        def counting(*args):
-            nonlocal passes
-            passes += 1
-            return extract(*args)
+        def counting(values):
+            nonlocal whole_rows
+            values = list(values)
+            whole_rows += len(values) > 3
+            return fsum(values)
 
-        monkeypatch.setattr(_numerics, "_extract_vector", counting)
+        monkeypatch.setattr(math, "fsum", counting)
         sums = row_sums(table)
-        assert passes == 1
-        assert [s.hex() for s in sums] == [math.fsum(row.tolist()).hex() for row in table]
-
+        monkeypatch.undo()
+        assert whole_rows == 0
+        assert [s.hex() for s in sums] == expected
 
 def test_cli_import_leaves_numpy_polynomial_unloaded():
     # The quadrature nodes are built on first use, not at import.
