@@ -17,41 +17,47 @@ The package splits into two layers:
 The library modules only compute. The command-line interface ``expseries``
 (:mod:`expseries.cli`) is the one module that reads and writes files: every
 JSON document and CSV table format is defined there.
+
+Exported names load on first use: ``import expseries`` imports no library
+module and no numpy, and ``expseries.Actuator`` imports only what
+:mod:`expseries.heat` needs.
 """
 
-from .exact import ExactReal
-from .series import DirichletSeries, SeriesValue, TailModel
-from .taylor import RemainderCertificate, TaylorExpansion
-from .uniqueness import PeelResult, SampledSignal, SeparationWarning
-from .heat import Actuator, ControllabilityReport
-from .control import (
-    BlockedModeError,
-    ConditioningError,
-    ControlFunction,
-    MomentProblem,
-    SpectralState,
-)
-from .simulate import Trajectory
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Actuator",
-    "BlockedModeError",
-    "ConditioningError",
-    "ControlFunction",
-    "ControllabilityReport",
-    "DirichletSeries",
-    "ExactReal",
-    "MomentProblem",
-    "PeelResult",
-    "RemainderCertificate",
-    "SampledSignal",
-    "SeparationWarning",
-    "SeriesValue",
-    "SpectralState",
-    "TailModel",
-    "TaylorExpansion",
-    "Trajectory",
-    "__version__",
-]
+
+# expseries.control raises these. They are defined here, not in a library
+# module, so that the CLI can map them to exit code 3 without importing one.
+class BlockedModeError(Exception):
+    """A requested mode has exactly zero actuator overlap."""
+
+
+class ConditioningError(Exception):
+    """The moment solve is too ill conditioned to trust at the requested setup."""
+
+
+# The names each module exports; __getattr__ imports the module on first use.
+_MODULE_EXPORTS = {
+    "control": ("ControlFunction", "MomentProblem", "SpectralState"),
+    "exact": ("ExactReal",),
+    "heat": ("Actuator", "ControllabilityReport"),
+    "series": ("DirichletSeries", "SeriesValue", "TailModel"),
+    "simulate": ("Trajectory",),
+    "taylor": ("RemainderCertificate", "TaylorExpansion"),
+    "uniqueness": ("PeelResult", "SampledSignal", "SeparationWarning"),
+}
+_EXPORTS = {name: module for module, names in _MODULE_EXPORTS.items() for name in names}
+
+__all__ = sorted([*_EXPORTS, "BlockedModeError", "ConditioningError", "__version__"])
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -6,25 +6,22 @@ and read back by ``simulate``), and the remainder, trajectory and signal
 tables (CSV, written). The library modules only compute.
 
 Exit codes: 0 success, 1 I/O failure, 2 validation failure, 3 domain error
-(blocked mode or conditioning). Outputs never contain timestamps; CSV files
-carry a provenance comment header unless --no-header is given, so identical
-invocations produce byte-identical files.
+(blocked mode, conditioning, or a non-finite or overflowing result). Outputs
+never contain timestamps; CSV files carry a provenance comment header unless
+--no-header is given, so identical invocations produce byte-identical files.
+Each subcommand imports only the library modules it uses.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
-from fractions import Fraction
 from pathlib import Path
 
-from . import __version__
-from . import control as control_mod
-from . import heat, series, simulate, taylor, uniqueness
-from .control import BlockedModeError, ConditioningError, ControlFunction, SpectralState
-from .series import _require_finite
+from . import BlockedModeError, ConditioningError, __version__
 
 
 def _dump_json(doc: dict) -> str:
@@ -42,19 +39,24 @@ def _csv(header: str, rows, *footer: str) -> str:
 
 def _parse_number(raw: object, name: str) -> float:
     """Accept JSON numbers plus decimal or rational strings such as "1/3"."""
+    from .series import _require_finite
     if isinstance(raw, bool):
         raise ValueError(f"{name} must be a number, got a bool")
     if isinstance(raw, (int, float)):
         return _require_finite(raw, name)
     if isinstance(raw, str):
+        from fractions import Fraction
         try:
             return _require_finite(float(Fraction(raw.strip())), name)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"{name} does not parse as decimal or rational: {raw!r}") from exc
+        except OverflowError as exc:
+            raise ValueError(f"{name} overflows a double: {raw!r}") from exc
     raise ValueError(f"{name} must be a number or numeric string")
 
 
 def _series_from_document(doc) -> series.DirichletSeries:
+    from . import series
     if "terms" not in doc:
         raise ValueError("series document lacks 'terms'")
     terms = doc["terms"]
@@ -119,6 +121,7 @@ def _numbers(doc: dict, key: str, name: str) -> tuple[float, ...]:
 
 
 def _control_from_document(doc: dict) -> ControlFunction:
+    from .control import ControlFunction
     return ControlFunction(
         kind=str(doc["kind"]),
         horizon=_parse_number(doc["T"], "T"),
@@ -131,6 +134,7 @@ def _control_from_document(doc: dict) -> ControlFunction:
 
 
 def _parse_state(text: str, min_modes: int = 1) -> SpectralState:
+    from .control import SpectralState
     text = text.strip()
     if text == "0":
         return SpectralState.zero(max(1, min_modes))
@@ -144,6 +148,7 @@ def _parse_state(text: str, min_modes: int = 1) -> SpectralState:
 
 
 def _actuator(args, default_kind: str = "lumped") -> heat.Actuator:
+    from . import heat
     return heat.Actuator.from_strings(args.a, args.b, args.kind or default_kind)
 
 
@@ -202,12 +207,16 @@ def _emit(args, text: str, argv: list[str], is_csv: bool) -> None:
 
 
 def _cmd_series_eval(args, argv) -> None:
+    from . import series
     s = _load_series(args)
     result = series.evaluate(s, args.t)
+    if not (math.isfinite(result.value) and math.isfinite(result.error_bound)):
+        raise OverflowError(f"the series value at t={args.t!r} is not finite")
     _emit(args, _dump_json({"value": result.value, "errorBound": result.error_bound}), argv, False)
 
 
 def _cmd_series_expand(args, argv) -> None:
+    from . import taylor
     s = _load_series(args)
     expansion = taylor.expand(s, args.tau, args.order)
     doc = {
@@ -220,6 +229,7 @@ def _cmd_series_expand(args, argv) -> None:
 
 
 def _cmd_series_remainder(args, argv) -> None:
+    from . import series, taylor
     s = _load_series(args)
     if args.nmax < 1:
         raise ValueError("--nmax must be at least 1")
@@ -239,6 +249,7 @@ def _cmd_series_remainder(args, argv) -> None:
 
 
 def _cmd_control_analyze(args, argv) -> None:
+    from . import heat
     actuator = _actuator(args)
     if actuator.kind == "distributed":
         report = heat.distributed_controllability(actuator, j_check=min(args.jmax, 64))
@@ -270,22 +281,20 @@ def _resolve_states(args) -> tuple[SpectralState, SpectralState]:
 
 
 def _cmd_control_synthesize(args, argv) -> None:
+    from .control import synthesize_distributed, synthesize_lumped
     actuator = _actuator(args)
     z0, z1 = _resolve_states(args)
     if actuator.kind == "distributed":
-        control, predicted = control_mod.synthesize_distributed(
-            z0, z1, actuator, args.T, args.N, args.eps
-        )
+        control, predicted = synthesize_distributed(z0, z1, actuator, args.T, args.N, args.eps)
     else:
-        control, predicted = control_mod.synthesize_lumped(
-            z0, z1, actuator, args.T, args.N, args.eps, args.reg
-        )
+        control, predicted = synthesize_lumped(z0, z1, actuator, args.T, args.N, args.eps, args.reg)
     doc = _control_document(control)
     doc["predictedError"] = predicted
     _emit(args, _dump_json(doc), argv, False)
 
 
 def _cmd_control_simulate(args, argv) -> None:
+    from . import simulate
     control = _control_from_document(json.loads(Path(args.control).read_text(encoding="utf-8")))
     actuator = _actuator(args, default_kind=control.kind)
     horizon = args.T if args.T is not None else control.horizon
@@ -303,6 +312,7 @@ def _cmd_control_simulate(args, argv) -> None:
 
 
 def _cmd_control_observability(args, argv) -> None:
+    from . import simulate, uniqueness
     actuator = _actuator(args)
     y = _parse_state(args.y)
     signal = simulate.observability_signal(y, actuator, args.T, args.samples)
@@ -404,7 +414,7 @@ def main(argv=None) -> int:
         return code
     try:
         args.handler(args, argv)
-    except (BlockedModeError, ConditioningError) as exc:
+    except (BlockedModeError, ConditioningError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, TypeError, KeyError) as exc:

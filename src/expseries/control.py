@@ -32,17 +32,10 @@ from typing import Sequence
 
 import numpy as np
 
+from . import BlockedModeError, ConditioningError
 from ._numerics import exp_integral
 from .heat import Actuator, coupling_coefficient, eigenvalue, mode_energy
 from .series import _require_finite, _require_positive
-
-
-class BlockedModeError(Exception):
-    """A requested mode has exactly zero actuator overlap."""
-
-
-class ConditioningError(Exception):
-    """The moment solve is too ill conditioned to trust at the requested setup."""
 
 
 @dataclass(frozen=True, init=False)

@@ -1,11 +1,19 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from expseries.cli import _control_from_document, main
 from expseries.heat import Actuator, blocked_set
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# Two terms whose sum overflows a double for small t.
+HUGE = "[[1e308,1],[1e308,2]]"
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -71,6 +79,35 @@ class TestSeriesCommands:
     def test_missing_file_is_io_error(self, capsys):
         code = main(["series", "eval", "--series", "/nonexistent/s.json", "--t", "1"])
         assert code == 1
+
+    def test_coefficient_beyond_double_range_is_validation_error(self, capsys):
+        code = main(["series", "eval", "--terms", '[["1e999", 1]]', "--t", "1"])
+        assert code == 2
+        assert "coefficient overflows a double" in capsys.readouterr().err
+
+    # Each runs in a subprocess: numpy warns on overflow, and pytest turns
+    # that warning into an error.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--terms", "[[1,-1000]]", "--t", "1"],
+            ["eval", "--terms", "[[1e308,-1],[1e308,-2]]", "--t", "1"],
+            ["eval", "--terms", HUGE, "--t", "0.0001"],
+            ["expand", "--terms", HUGE, "--tau", "0.0001", "--order", "3"],
+            ["remainder", "--terms", HUGE, "--tau", "0.0001", "--t", "0.0002", "--nmax", "3"],
+        ],
+        ids=["eval-inf", "eval-inf-sum", "eval-fsum", "expand-fsum", "remainder-fsum"],
+    )
+    def test_overflowing_result_is_domain_error(self, argv):
+        result = subprocess.run(
+            [sys.executable, "-m", "expseries.cli", "series", *argv],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+        )
+        assert (result.returncode, result.stdout) == (3, "")
+        assert result.stderr.splitlines()[-1].startswith("error: ")
+        assert "Traceback" not in result.stderr
 
 
 class TestControlCommands:

@@ -1,14 +1,9 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-import expseries
 from expseries._numerics import BLOCK_ELEMENTS, row_sums
 
 INF, NAN = math.inf, math.nan
@@ -148,16 +143,3 @@ class TestRowSums:
         monkeypatch.undo()
         assert whole_rows == 0
         assert [s.hex() for s in sums] == expected
-
-def test_cli_import_leaves_numpy_polynomial_unloaded():
-    # The quadrature nodes are built on first use, not at import.
-    src_dir = Path(expseries.__file__).resolve().parents[1]
-    probe = "import sys, expseries.cli; print('numpy.polynomial' in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": str(src_dir)},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert result.stdout.strip() == "False"
