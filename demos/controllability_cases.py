@@ -19,7 +19,7 @@ def show(act: Actuator, j_max: int = 20) -> None:
     print(f"\n{act.describe()}  ->  {report.verdict}")
     print(f"  blocked modes up to {j_max}: {list(report.blocked_prefix) or 'none'}")
     if report.moduli:
-        rules = " or ".join(f"j = {r[0]} (mod {m})" for m, r in report.moduli)
+        rules = " or ".join(f"j = 0 (mod {m})" for m in report.moduli)
         print(f"  exact characterization: blocked iff {rules}")
         print(f"  controllable subspace: {report.subspace}")
     for j in range(1, 7):

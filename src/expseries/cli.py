@@ -5,6 +5,12 @@ controllability documents (JSON, written), control documents (JSON, written
 and read back by ``simulate``), and the remainder, trajectory and signal
 tables (CSV, written). The library modules only compute.
 
+A series document is a JSON object. ``terms`` lists ``[coefficient,
+exponent]`` pairs; an optional ``tail`` object gives ``sumBound`` and
+``lambdaFloor`` (see :class:`expseries.series.TailModel`). Each number is a
+JSON number or a decimal or rational string such as "1/3". Other keys, at
+either level, are ignored.
+
 Exit codes: 0 success, 1 I/O failure, 2 validation failure, 3 domain error
 (blocked mode, conditioning, or a non-finite or overflowing result). Outputs
 never contain timestamps; CSV files carry a provenance comment header unless
@@ -19,6 +25,7 @@ import json
 import math
 import re
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import BlockedModeError, ConditioningError, __version__
@@ -73,17 +80,9 @@ def _series_from_document(doc) -> series.DirichletSeries:
     if tail_doc is not None:
         if not isinstance(tail_doc, dict):
             raise ValueError("'tail' must be a JSON object")
-        weighted_doc = tail_doc.get("weightedBounds")
-        if not isinstance(weighted_doc, (dict, type(None))):
-            raise ValueError("'weightedBounds' must be a JSON object")
-        weighted = {
-            int(k): _parse_number(v, f"weighted bound k={k}")
-            for k, v in (weighted_doc or {}).items()
-        }
         tail = series.TailModel(
             _parse_number(tail_doc["sumBound"], "sumBound"),
             _parse_number(tail_doc["lambdaFloor"], "lambdaFloor"),
-            tuple(weighted.items()),
         )
     return series.DirichletSeries(terms, tail)
 
@@ -206,19 +205,42 @@ def _emit(args, text: str, argv: list[str], is_csv: bool) -> None:
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def _overflow_names(what: str):
+    """Report any overflow in the body as one ``OverflowError`` naming ``what``.
+
+    ``math`` and ``fsum`` raise it with messages about themselves; numpy
+    instead warns on stderr and goes on with inf, so its warnings are off
+    here and the body checks what it will write with ``_finite``.
+    """
+    import numpy as np
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+    except OverflowError:
+        raise OverflowError(f"{what} overflows a double") from None
+
+
+def _finite(*values: float) -> None:
+    if not all(map(math.isfinite, values)):
+        raise OverflowError
+
+
 def _cmd_series_eval(args, argv) -> None:
     from . import series
     s = _load_series(args)
-    result = series.evaluate(s, args.t)
-    if not (math.isfinite(result.value) and math.isfinite(result.error_bound)):
-        raise OverflowError(f"the series value at t={args.t!r} is not finite")
+    with _overflow_names(f"the series value at t={args.t!r}"):
+        result = series.evaluate(s, args.t)
+        _finite(result.value, result.error_bound)
     _emit(args, _dump_json({"value": result.value, "errorBound": result.error_bound}), argv, False)
 
 
 def _cmd_series_expand(args, argv) -> None:
     from . import taylor
     s = _load_series(args)
-    expansion = taylor.expand(s, args.tau, args.order)
+    with _overflow_names(f"the expansion around tau={args.tau!r} to order {args.order}"):
+        expansion = taylor.expand(s, args.tau, args.order)
+        _finite(*expansion.coeffs, *expansion.coeff_bounds, expansion.sum_abs_alpha)
     doc = {
         "center": expansion.center,
         "coeffs": list(expansion.coeffs),
@@ -233,13 +255,15 @@ def _cmd_series_remainder(args, argv) -> None:
     s = _load_series(args)
     if args.nmax < 1:
         raise ValueError("--nmax must be at least 1")
-    expansion = taylor.expand(s, args.tau, args.nmax)
-    exact_value = series.evaluate(s, args.t).value
-    partials = taylor.partial_sums(expansion, args.t)
-    rows = (
-        (n, args.t, float(abs(exact_value - p)), taylor.remainder_bound(expansion, n, args.t).bound)
-        for n, p in enumerate(partials[1:], 1)
-    )
+    with _overflow_names(f"the remainder table around tau={args.tau!r} at t={args.t!r}"):
+        expansion = taylor.expand(s, args.tau, args.nmax)
+        exact_value = series.evaluate(s, args.t).value
+        partials = taylor.partial_sums(expansion, args.t)
+        rows = [
+            (n, args.t, float(abs(exact_value - p)), taylor.remainder_bound(expansion, n, args.t).bound)
+            for n, p in enumerate(partials[1:], 1)
+        ]
+        _finite(*(value for row in rows for value in row[2:]))
     _emit(args, _csv("n,t,measured,certified", rows), argv, True)
 
 
@@ -258,9 +282,7 @@ def _cmd_control_analyze(args, argv) -> None:
     doc = {
         "verdict": report.verdict,
         "blockedPrefix": list(report.blocked_prefix),
-        "modulusCharacterization": [
-            {"modulus": m, "residues": list(res)} for m, res in report.moduli
-        ],
+        "modulusCharacterization": [{"modulus": m, "residues": [0]} for m in report.moduli],
         "jMax": report.j_max,
         "subspace": report.subspace,
     }

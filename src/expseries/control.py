@@ -81,9 +81,6 @@ class SpectralState:
         array.flags.writeable = False
         return array
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeff_array))
-
     def mode(self, j: int) -> float:
         """Coefficient of mode j, zero beyond the stored range."""
         j = int(j)

@@ -183,8 +183,3 @@ class ExactReal:
             return irr_part if self.irr > 0 else f"-{irr_part}"
         sign = "+" if self.irr > 0 else "-"
         return f"{self.rat} {sign} {irr_part}"
-
-
-def parse(text: str) -> ExactReal:
-    """Module-level alias for :meth:`ExactReal.parse`."""
-    return ExactReal.parse(text)

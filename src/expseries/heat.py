@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .exact import ExactReal
@@ -104,25 +103,6 @@ def overlap(actuator: Actuator, j: int) -> float:
     return _SQRT2 * (math.cos(j * math.pi * fa) - math.cos(j * math.pi * fb)) / (j * math.pi)
 
 
-def _is_even_integer(value: Fraction) -> bool:
-    return value.denominator == 1 and value.numerator % 2 == 0
-
-
-def overlap_is_zero(actuator: Actuator, j: int) -> bool:
-    """Exact vanishing test: beta_j = 0 iff j(a-b) or j(a+b) is an even integer.
-
-    Decided in exact arithmetic; any irrational part makes the product
-    irrational, hence never an even integer. The library decides vanishing
-    from :attr:`Actuator.blocked_moduli`; this direct test is the oracle the
-    tests compare it against.
-    """
-    j = _check_mode(j)
-    for combination in (actuator.a - actuator.b, actuator.a + actuator.b):
-        if combination.is_rational and _is_even_integer(j * combination.rat):
-            return True
-    return False
-
-
 def coupling_coefficient(actuator: Actuator, j: int) -> float:
     """Overlap with exact zeros snapped to 0.0.
 
@@ -149,35 +129,31 @@ def mode_energy(actuator: Actuator, j: int) -> float:
 class ControllabilityReport:
     """Verdict plus an exact description of the blocked mode set I.
 
-    ``moduli`` lists ``(modulus, residues)`` pairs; j is blocked iff
-    ``j % modulus`` is in ``residues`` for some pair. The characterization is
-    complete for every j (not only the enumerated prefix): rational endpoint
-    combinations block exact residue classes and irrational ones block
-    nothing.
+    ``moduli`` are :attr:`Actuator.blocked_moduli`: j is blocked iff some
+    modulus divides j. The characterization is complete for every j (not
+    only the enumerated prefix): rational endpoint combinations block exact
+    residue classes and irrational ones block nothing.
     """
 
     verdict: str
     blocked_prefix: tuple[int, ...]
-    moduli: tuple[tuple[int, tuple[int, ...]], ...]
+    moduli: tuple[int, ...]
     j_max: int
     subspace: str
 
     def is_blocked(self, j: int) -> bool:
         j = _check_mode(j)
-        return any(j % modulus in residues for modulus, residues in self.moduli)
+        return any(j % m == 0 for m in self.moduli)
 
 
 def blocked_set(actuator: Actuator, j_max: int = 256) -> ControllabilityReport:
     """Enumerate I up to ``j_max`` from its exact modular characterization."""
     j_max = _check_j_max(j_max)
-    kept = actuator.blocked_moduli
-    prefix = tuple(sorted({j for m in kept for j in range(m, j_max + 1, m)}))
-    moduli = tuple((m, (0,)) for m in kept)
+    moduli = actuator.blocked_moduli
+    prefix = tuple(sorted({j for m in moduli for j in range(m, j_max + 1, m)}))
     if moduli:
         verdict = VERDICT_NOT_CONTROLLABLE
-        subspace = "span{phi_j : " + " and ".join(
-            f"j % {m} != 0" for m, _ in moduli
-        ) + "}"
+        subspace = "span{phi_j : " + " and ".join(f"j % {m} != 0" for m in moduli) + "}"
     else:
         verdict = VERDICT_CONTROLLABLE
         subspace = "all modes (V = H)"

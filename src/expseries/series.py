@@ -48,52 +48,20 @@ def _require_positive(value: float, name: str) -> float:
 class TailModel:
     """Certified bounds for the truncated part of an exponential sum.
 
-    ``sum_bound`` dominates the sum of absolute truncated coefficients,
-    ``lambda_floor`` is a positive lower bound on every truncated exponent,
-    and ``weighted_bounds`` optionally stores extra certified bounds on
-    ``sum_j |alpha_j| / lambda_j**k`` for selected integers ``k``.
+    ``sum_bound`` dominates the sum of absolute truncated coefficients, and
+    ``lambda_floor`` is a positive lower bound on every truncated exponent.
     """
 
     sum_bound: float
     lambda_floor: float
-    weighted_bounds: tuple[tuple[int, float], ...] = ()
 
     def __post_init__(self) -> None:
         sum_bound = _require_finite(self.sum_bound, "sum_bound")
         if sum_bound < 0:
             raise ValueError("sum_bound must be nonnegative")
         floor = _require_positive(self.lambda_floor, "lambda_floor")
-        merged: dict[int, float] = {0: sum_bound}
-        for key, bound in dict(self.weighted_bounds).items():
-            k = int(key)
-            if k < 0:
-                raise ValueError("weighted bound orders must be nonnegative")
-            bound = _require_finite(bound, f"weighted bound for k={k}")
-            if bound < 0:
-                raise ValueError("weighted bounds must be nonnegative")
-            if k == 0 and bound != sum_bound:
-                raise ValueError("weighted bound at k=0 must equal sum_bound")
-            merged[k] = bound
         object.__setattr__(self, "sum_bound", sum_bound)
         object.__setattr__(self, "lambda_floor", floor)
-        object.__setattr__(self, "weighted_bounds", tuple(sorted(merged.items())))
-
-    def weighted_sum_bound(self, k: int) -> float:
-        """Certified bound on the tail sum of ``|alpha_j| / lambda_j**k``.
-
-        Derived as the best of ``W(k') / lambda_floor**(k - k')`` over stored
-        orders ``k' <= k``; valid because every tail exponent is at least
-        ``lambda_floor``.
-        """
-        k = int(k)
-        if k < 0:
-            raise ValueError("k must be nonnegative")
-        candidates = [
-            bound / self.lambda_floor ** (k - kk)
-            for kk, bound in self.weighted_bounds
-            if kk <= k
-        ]
-        return min(candidates)
 
 
 @dataclass(frozen=True)
@@ -194,56 +162,3 @@ def _tail_error(tail: TailModel | None, t: float) -> float:
         return 0.0
     return tail.sum_bound * math.exp(-tail.lambda_floor * t)
 
-
-def shift_normalize(series: DirichletSeries) -> tuple[DirichletSeries, float]:
-    """Shift exponents so the smallest becomes 1; returns ``(shifted, shift)``.
-
-    The identity ``phi(t) = exp(-shift * t) * shifted(t)`` holds for all t,
-    with ``shift = lambda_min - 1``. Targeting 1 (not 0) keeps later
-    divisions by exponents well conditioned.
-    """
-    lam_min, lam_max = series.lambdas[[0, -1]].tolist()
-    shift = lam_min - 1.0
-    # (lam - lam_min) + 1 rather than lam - shift: the smallest exponent maps
-    # to exactly 1.0 and none can round below it.
-    new_lambdas = (series.lambdas - lam_min) + 1.0
-    tail = series.tail
-    if tail is not None:
-        # Tail exponents follow the explicit ones in an increasing sequence,
-        # so max(explicit lambda) is also a certified tail floor.
-        floor = (max(tail.lambda_floor, lam_max) - lam_min) + 1.0
-        if shift <= 0:
-            # Exponents grow under the shift, so stored weighted bounds stay valid.
-            weighted = {k: b for k, b in tail.weighted_bounds if k > 0}
-        else:
-            weighted = {}
-        tail = TailModel(tail.sum_bound, floor, tuple(weighted.items()))
-    return DirichletSeries(zip(series.alphas.tolist(), new_lambdas.tolist()), tail), shift
-
-
-def antiderivative_reduce(series: DirichletSeries, k: int) -> DirichletSeries:
-    """Divide every coefficient by its exponent ``k`` times.
-
-    Requires strictly positive exponents (apply :func:`shift_normalize`
-    first). The k-th derivative of the result equals ``(-1)**k`` times the
-    original sum: each term ``(alpha/lambda**k) e^{-lambda t}`` differentiates
-    back to ``alpha (-1)**k e^{-lambda t}``. Division is applied one factor at
-    a time so that reducing by ``j`` then ``k`` reproduces the reduction by
-    ``j + k`` bit for bit.
-    """
-    k = int(k)
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    lams = series.lambdas
-    if np.any(lams <= 0):
-        raise ValueError("all exponents must be strictly positive; shift_normalize first")
-    coeffs = series.alphas
-    for _ in range(k):
-        coeffs = coeffs / lams
-    tail = series.tail
-    if tail is not None:
-        new_sum = tail.weighted_sum_bound(k)
-        weighted = {kk - k: bound for kk, bound in tail.weighted_bounds if kk >= k}
-        weighted[0] = new_sum
-        tail = TailModel(new_sum, tail.lambda_floor, tuple(weighted.items()))
-    return DirichletSeries(zip(coeffs.tolist(), lams.tolist()), tail)

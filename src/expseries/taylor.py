@@ -76,7 +76,8 @@ class RemainderCertificate:
 
 def _tail_coefficient_bound(sum_bound: float, tau: float, n: int) -> float:
     # Tail contribution to a_n: sum_bound * (n/(e tau))^n / n!, stable in logs.
-    if n == 0:
+    # With no tail it is 0 even where the factor alone overflows.
+    if n == 0 or sum_bound == 0:
         return sum_bound
     log_term = n * (math.log(n) - 1.0 - math.log(tau)) - math.lgamma(n + 1)
     return sum_bound * math.exp(log_term)
@@ -85,12 +86,11 @@ def _tail_coefficient_bound(sum_bound: float, tau: float, n: int) -> float:
 def expand(series: DirichletSeries, tau: float, order: int) -> TaylorExpansion:
     """Taylor coefficients of the sum around ``tau`` up to ``order``.
 
-    Requires strictly positive exponents (apply
-    :func:`expseries.series.shift_normalize` first) and ``tau > 0``. Each
-    ``b_n`` and its magnitude sum ``sum_j |alpha_j e^{-lambda_j tau}
-    lambda_j^n / n!|`` are correctly rounded sums of the recurrence's term
-    values, computed by ``_numerics.row_sums`` on blocks of rows, so the
-    zeroth coefficient reproduces ``evaluate(series, tau).value`` exactly.
+    Requires strictly positive exponents and ``tau > 0``. Each ``b_n`` and
+    its magnitude sum ``sum_j |alpha_j e^{-lambda_j tau} lambda_j^n / n!|``
+    are correctly rounded sums of the recurrence's term values, computed by
+    ``_numerics.row_sums`` on blocks of rows, so the zeroth coefficient
+    reproduces ``evaluate(series, tau).value`` exactly.
     """
     tau = _require_positive(tau, "tau")
     order = int(order)
@@ -98,7 +98,7 @@ def expand(series: DirichletSeries, tau: float, order: int) -> TaylorExpansion:
         raise ValueError("order must be nonnegative")
     lams = series.lambdas
     if np.any(lams <= 0):
-        raise ValueError("all exponents must be strictly positive; shift_normalize first")
+        raise ValueError("all exponents must be strictly positive")
 
     tail_sum = series.tail.sum_bound if series.tail is not None else 0.0
     neg_lams = -lams

@@ -63,7 +63,7 @@ class TestSeriesCommands:
     def test_eval_negative_t_with_tail_is_validation_error(self, tmp_path, capsys):
         doc = {
             "terms": [[0.5, 1.0]],
-            "tail": {"sumBound": 0.5, "lambdaFloor": 2.0, "weightedBounds": {"0": 0.5}},
+            "tail": {"sumBound": 0.5, "lambdaFloor": 2.0},
         }
         path = tmp_path / "series.json"
         path.write_text(json.dumps(doc))
@@ -85,8 +85,7 @@ class TestSeriesCommands:
         assert code == 2
         assert "coefficient overflows a double" in capsys.readouterr().err
 
-    # Each runs in a subprocess: numpy warns on overflow, and pytest turns
-    # that warning into an error.
+    # Each runs in a subprocess, so that stderr holds all the command prints.
     @pytest.mark.parametrize(
         "argv",
         [
@@ -108,6 +107,29 @@ class TestSeriesCommands:
         assert (result.returncode, result.stdout) == (3, "")
         assert result.stderr.splitlines()[-1].startswith("error: ")
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "argv, stderr",
+        [
+            (
+                ["eval", "--terms", "[[1,-1000]]", "--t", "1"],
+                "error: the series value at t=1.0 overflows a double\n",
+            ),
+            (
+                ["expand", "--terms", "[[1e300,100]]", "--tau", "0.0001", "--order", "120"],
+                "error: the expansion around tau=0.0001 to order 120 overflows a double\n",
+            ),
+        ],
+        ids=["eval", "expand"],
+    )
+    def test_overflow_is_one_error_line_naming_the_input(self, argv, stderr):
+        result = subprocess.run(
+            [sys.executable, "-m", "expseries.cli", "series", *argv],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (3, "", stderr)
 
 
 class TestControlCommands:
@@ -297,7 +319,7 @@ class TestControlCommands:
 
 SERIES_DOC = {
     "terms": [[1, 1], [0.5, 2]],
-    "tail": {"sumBound": 0.125, "lambdaFloor": 3, "weightedBounds": {"1": 0.05}},
+    "tail": {"sumBound": 0.125, "lambdaFloor": 3},
 }
 CONTROL_DOC = {"kind": "lumped", "T": 1.0, "exponents": [-1.0], "coeffs": [0.5]}
 SIMULATE = ["control", "simulate", "--a", "0", "--b", "1/2", "--z0", "phi1", "--steps", "4"]
@@ -318,13 +340,14 @@ json_values = st.recursive(
 def mutated(base: dict, fields, data) -> dict:
     """``base`` with random JSON values for a nonempty subset of ``fields``.
 
-    ``weightedBounds`` sits inside ``tail``, so it must come before ``tail``.
+    ``sumBound`` and ``lambdaFloor`` sit inside ``tail``, so they must come
+    before ``tail``.
     """
     doc = json.loads(json.dumps(base))
     chosen = data.draw(st.sets(st.sampled_from(fields), min_size=1))
     for field in (f for f in fields if f in chosen):
-        if field == "weightedBounds":
-            doc["tail"]["weightedBounds"] = data.draw(json_values)
+        if field in ("sumBound", "lambdaFloor"):
+            doc["tail"][field] = data.draw(json_values)
         else:
             doc[field] = data.draw(json_values)
     return doc
@@ -333,7 +356,7 @@ def mutated(base: dict, fields, data) -> dict:
 class TestDocumentShapes:
     @given(data=st.data())
     def test_random_series_fields_never_escape_main(self, tmp_path_factory, data):
-        doc = mutated(SERIES_DOC, ("weightedBounds", "terms", "tail"), data)
+        doc = mutated(SERIES_DOC, ("sumBound", "lambdaFloor", "terms", "tail"), data)
         path = tmp_path_factory.mktemp("series") / "series.json"
         path.write_text(json.dumps(doc))
         assert main(["series", "eval", "--t", "1", "--series", str(path)]) in (0, 2, 3)
@@ -357,7 +380,7 @@ class TestDocumentShapes:
         [
             ({"terms": ["1"]}, "error: 'terms' must be"),
             ({"tail": [1, 2]}, "error: 'tail' must be"),
-            ({"tail": {**SERIES_DOC["tail"], "weightedBounds": [1]}}, "error: 'weightedBounds'"),
+            ({"tail": {**SERIES_DOC["tail"], "sumBound": [1]}}, "error: sumBound must be a number"),
         ],
     )
     def test_series_document_of_wrong_shape_is_validation_error(
@@ -435,9 +458,7 @@ class TestDeterminismAndConfig:
         assert json.loads(out) == {
             "verdict": report.verdict,
             "blockedPrefix": list(report.blocked_prefix),
-            "modulusCharacterization": [
-                {"modulus": m, "residues": list(res)} for m, res in report.moduli
-            ],
+            "modulusCharacterization": [{"modulus": m, "residues": [0]} for m in report.moduli],
             "jMax": report.j_max,
             "subspace": report.subspace,
         }

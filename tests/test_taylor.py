@@ -135,6 +135,12 @@ class TestExpand:
         with pytest.raises(ValueError, match="strictly positive"):
             expand(DirichletSeries([(1.0, -1.0), (1.0, 1.0)]), 1.0, 3)
 
+    def test_no_tail_term_where_its_factor_overflows(self):
+        # (n / (e tau))^n / n! exceeds a double at tau = 1e-4, n = 120; with no
+        # tail it multiplies a zero sum bound, so each bound is |b_n|.
+        exp_ = expand(DirichletSeries([(1.0, 1.0)]), 1e-4, 120)
+        assert exp_.coeff_bounds == tuple(abs(c) for c in exp_.coeffs)
+
     def test_high_order_does_not_overflow(self):
         exp_ = expand(DirichletSeries([(1.0, 50.0)]), 1.0, 250)
         assert all(math.isfinite(c) for c in exp_.coeffs)

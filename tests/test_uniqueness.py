@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from expseries.series import DirichletSeries, TailModel, evaluate, shift_normalize
+from expseries.series import DirichletSeries, TailModel, evaluate
 from expseries.uniqueness import (
     PeelResult,
     SampledSignal,
@@ -110,7 +110,10 @@ class TestIsIdenticallyZero:
 
     def test_shift_invariant_verdict(self, rng):
         s = random_series(rng, max_terms=6, lam_range=(-2.0, 8.0), total_abs=(0.5, 2.0))
-        shifted, shift = shift_normalize(s)
+        # phi(t) = exp(-shift t) * shifted(t), with the smallest exponent moved to 1.
+        lam_min = s.lambdas[0]
+        shift = lam_min - 1.0
+        shifted = DirichletSeries(zip(s.alphas.tolist(), ((s.lambdas - lam_min) + 1.0).tolist()))
         scale = max(math.exp(-shift * t) for t in (0.0, 1.0))
         tol = 1e-9
         assert is_identically_zero(s, 1.0, tol) == is_identically_zero(
