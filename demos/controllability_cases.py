@@ -33,9 +33,7 @@ def main() -> None:
     show(Actuator.from_strings("0", "1/2+1/1000*sqrt2"))
 
     print("\nDistributed control: any interval of positive length works")
-    report = distributed_controllability(
-        Actuator.from_strings("0", "1/2", kind="distributed")
-    )
+    report = distributed_controllability(Actuator.from_strings("0", "1/2"))
     print(f"omega=(0, 1/2) distributed -> {report.verdict}")
     print("(the same interval is NOT controllable with lumped control: mode 4 is blind)")
 

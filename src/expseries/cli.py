@@ -13,9 +13,12 @@ either level, are ignored.
 
 Exit codes: 0 success, 1 I/O failure, 2 validation failure, 3 domain error
 (blocked mode, conditioning, or a non-finite or overflowing result). Outputs
-never contain timestamps; CSV files carry a provenance comment header unless
---no-header is given, so identical invocations produce byte-identical files.
-Each subcommand imports only the library modules it uses.
+never contain timestamps; the CSV commands (``series remainder``, ``control
+simulate``, ``control observability``) write a provenance comment header
+unless --no-header is given, so identical invocations produce byte-identical
+files. Each subcommand imports only the library modules it uses and takes
+only options that can change its output: ``control simulate`` reads the
+control class and horizon from the control document.
 """
 
 from __future__ import annotations
@@ -146,9 +149,9 @@ def _parse_state(text: str, min_modes: int = 1) -> SpectralState:
     raise ValueError(f"cannot parse state {text!r}: use 0, phiN, or a JSON list")
 
 
-def _actuator(args, default_kind: str = "lumped") -> heat.Actuator:
+def _actuator(args) -> heat.Actuator:
     from . import heat
-    return heat.Actuator.from_strings(args.a, args.b, args.kind or default_kind)
+    return heat.Actuator.from_strings(args.a, args.b)
 
 
 # argparse already reads these as values; anything else that starts with "-"
@@ -209,15 +212,20 @@ def _emit(args, text: str, argv: list[str], is_csv: bool) -> None:
 def _overflow_names(what: str):
     """Report any overflow in the body as one ``OverflowError`` naming ``what``.
 
-    ``math`` and ``fsum`` raise it with messages about themselves; numpy
-    instead warns on stderr and goes on with inf, so its warnings are off
-    here and the body checks what it will write with ``_finite``.
+    ``math`` and ``fsum`` raise it with messages about themselves. numpy goes
+    on with inf, or with 0 where an overflowed exponent underflows, so here
+    it only notes each overflow and the body checks what it will write with
+    ``_finite``; after a noted overflow, the ``ValueError`` that ``fsum``
+    raises on opposite infinities is that overflow too.
     """
     import numpy as np
+    overflowed = []
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="call", invalid="ignore", call=lambda *_: overflowed.append(1)):
             yield
-    except OverflowError:
+    except (OverflowError, ValueError) as exc:
+        if isinstance(exc, ValueError) and not overflowed:
+            raise
         raise OverflowError(f"{what} overflows a double") from None
 
 
@@ -275,8 +283,8 @@ def _cmd_series_remainder(args, argv) -> None:
 def _cmd_control_analyze(args, argv) -> None:
     from . import heat
     actuator = _actuator(args)
-    if actuator.kind == "distributed":
-        report = heat.distributed_controllability(actuator, j_check=min(args.jmax, 64))
+    if args.kind == "distributed":
+        report = heat.distributed_controllability(actuator, j_check=args.jmax)
     else:
         report = heat.blocked_set(actuator, args.jmax)
     doc = {
@@ -306,7 +314,9 @@ def _cmd_control_synthesize(args, argv) -> None:
     from .control import synthesize_distributed, synthesize_lumped
     actuator = _actuator(args)
     z0, z1 = _resolve_states(args)
-    if actuator.kind == "distributed":
+    if args.kind == "distributed":
+        if args.reg != 0.0:
+            raise ValueError("--reg applies only to --kind lumped")
         control, predicted = synthesize_distributed(z0, z1, actuator, args.T, args.N, args.eps)
     else:
         control, predicted = synthesize_lumped(z0, z1, actuator, args.T, args.N, args.eps, args.reg)
@@ -318,12 +328,10 @@ def _cmd_control_synthesize(args, argv) -> None:
 def _cmd_control_simulate(args, argv) -> None:
     from . import simulate
     control = _control_from_document(json.loads(Path(args.control).read_text(encoding="utf-8")))
-    actuator = _actuator(args, default_kind=control.kind)
-    horizon = args.T if args.T is not None else control.horizon
     z0 = _parse_state(args.z0, len(control.coeffs) or 1)
     target = _parse_state(args.z1, z0.n_modes) if args.z1 else None
     trajectory = simulate.propagate(
-        z0, control, actuator, horizon, steps=args.steps, target=target
+        z0, control, _actuator(args), control.horizon, steps=args.steps, target=target
     )
     header = ",".join(["t"] + [f"z_{j}" for j in range(1, trajectory.n_modes + 1)])
     rows = ([t, *z] for t, z in zip(trajectory.times.tolist(), trajectory.states.tolist()))
@@ -358,11 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"expseries {__version__}")
     top = parser.add_subparsers(dest="group", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="write output to this path instead of stdout")
-    common.add_argument(
-        "--no-header", action="store_true", help="omit provenance comments in CSV output"
-    )
+    out_parent = argparse.ArgumentParser(add_help=False)
+    out_parent.add_argument("--out", help="write output to this path instead of stdout")
+    csv_parent = argparse.ArgumentParser(add_help=False, parents=[out_parent])
+    csv_parent.add_argument("--no-header", action="store_true", help="omit provenance comments")
 
     series_parent = argparse.ArgumentParser(add_help=False)
     series_parent.add_argument("--series", help="path to a series document")
@@ -371,16 +378,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp = top.add_parser("series", help="evaluate and expand exponential sums")
     sp_sub = sp.add_subparsers(dest="command", required=True)
 
-    p_eval = sp_sub.add_parser("eval", parents=[common, series_parent])
+    p_eval = sp_sub.add_parser("eval", parents=[out_parent, series_parent])
     p_eval.add_argument("--t", type=float, required=True)
     p_eval.set_defaults(handler=_cmd_series_eval)
 
-    p_expand = sp_sub.add_parser("expand", parents=[common, series_parent])
+    p_expand = sp_sub.add_parser("expand", parents=[out_parent, series_parent])
     p_expand.add_argument("--tau", type=float, required=True)
     p_expand.add_argument("--order", type=int, required=True)
     p_expand.set_defaults(handler=_cmd_series_expand)
 
-    p_rem = sp_sub.add_parser("remainder", parents=[common, series_parent])
+    p_rem = sp_sub.add_parser("remainder", parents=[csv_parent, series_parent])
     p_rem.add_argument("--tau", type=float, required=True)
     p_rem.add_argument("--t", type=float, required=True)
     p_rem.add_argument("--nmax", type=int, default=20)
@@ -389,16 +396,17 @@ def build_parser() -> argparse.ArgumentParser:
     actuator_parent = argparse.ArgumentParser(add_help=False)
     actuator_parent.add_argument("--a", required=True, help="left endpoint (exact grammar)")
     actuator_parent.add_argument("--b", required=True, help="right endpoint (exact grammar)")
-    actuator_parent.add_argument("--kind", choices=["lumped", "distributed"])
+    kind_parent = argparse.ArgumentParser(add_help=False)
+    kind_parent.add_argument("--kind", choices=["lumped", "distributed"], default="lumped")
 
     cp = top.add_parser("control", help="controllability analysis and synthesis")
     cp_sub = cp.add_subparsers(dest="command", required=True)
 
-    p_an = cp_sub.add_parser("analyze", parents=[common, actuator_parent])
+    p_an = cp_sub.add_parser("analyze", parents=[out_parent, actuator_parent, kind_parent])
     p_an.add_argument("--jmax", type=int, default=256)
     p_an.set_defaults(handler=_cmd_control_analyze)
 
-    p_syn = cp_sub.add_parser("synthesize", parents=[common, actuator_parent])
+    p_syn = cp_sub.add_parser("synthesize", parents=[out_parent, actuator_parent, kind_parent])
     p_syn.add_argument("--T", type=float, required=True)
     p_syn.add_argument("--N", type=int, required=True)
     p_syn.add_argument("--eps", type=float, default=1e-6)
@@ -408,15 +416,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_syn.add_argument("--z1", help="state: 0, phiN, or JSON list")
     p_syn.set_defaults(handler=_cmd_control_synthesize)
 
-    p_sim = cp_sub.add_parser("simulate", parents=[common, actuator_parent])
+    p_sim = cp_sub.add_parser("simulate", parents=[csv_parent, actuator_parent])
     p_sim.add_argument("--control", required=True, help="path to a control document")
     p_sim.add_argument("--z0", required=True, help="state: 0, phiN, or JSON list")
     p_sim.add_argument("--z1", help="target state (adds terminalError row)")
-    p_sim.add_argument("--T", type=float)
     p_sim.add_argument("--steps", type=int, default=64)
     p_sim.set_defaults(handler=_cmd_control_simulate)
 
-    p_obs = cp_sub.add_parser("observability", parents=[common, actuator_parent])
+    p_obs = cp_sub.add_parser("observability", parents=[csv_parent, actuator_parent])
     p_obs.add_argument("--y", required=True, help="state: 0, phiN, or JSON list")
     p_obs.add_argument("--T", type=float, required=True)
     p_obs.add_argument("--samples", type=int, default=65)

@@ -165,21 +165,14 @@ def gram_matrix(exponents: Sequence[float], horizon: float) -> np.ndarray:
 
 def solve_moment_problem(
     problem: MomentProblem, regularization: float = 0.0
-) -> ControlFunction:
-    """Solve ``(G + regularization I) c = m`` and package the lumped control.
-
-    Reports the achieved moment residual ``max_j |(G c - m)_j|`` and the
-    control energy ``c' G c``. At zero regularization a residual above
-    ``1e-6 * max|m|`` raises :class:`ConditioningError`: regularize or drop
-    modes instead of trusting the coefficients.
-    """
-    return _solve_moments(problem, regularization)[0]
-
-
-def _solve_moments(
-    problem: MomentProblem, regularization: float
 ) -> tuple[ControlFunction, np.ndarray]:
-    """:func:`solve_moment_problem` plus the moment residual vector ``G c - m``."""
+    """Solve ``(G + regularization I) c = m``; return the control and ``G c - m``.
+
+    The control reports the achieved moment residual ``max_j |(G c - m)_j|``
+    and the control energy ``c' G c``. At zero regularization a residual
+    above ``1e-6 * max|m|`` raises :class:`ConditioningError`: regularize or
+    drop modes instead of trusting the coefficients.
+    """
     regularization = _require_finite(regularization, "regularization")
     if regularization < 0:
         raise ValueError("regularization must be nonnegative")
@@ -216,11 +209,9 @@ def _solve_moments(
 def _synthesis_setup(
     z0: SpectralState,
     z1: SpectralState,
-    actuator: Actuator,
     horizon: float,
     n_modes: int,
     eps: float,
-    kind: str,
 ) -> tuple[float, int, list[float], float]:
     """Validate a synthesis request and return ``(horizon, n_modes, deltas,
     tail_energy)``.
@@ -230,8 +221,6 @@ def _synthesis_setup(
     their squares beyond ``n_modes``.
     """
     horizon = _require_positive(horizon, "horizon")
-    if actuator.kind != kind:
-        raise ValueError(f"actuator kind must be '{kind}'")
     n_modes = int(n_modes)
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")
@@ -264,9 +253,7 @@ def synthesize_lumped(
     :func:`expseries.simulate.verify_control` measures. ``eps`` is validated
     (finite and positive) but not used.
     """
-    horizon, n_modes, deltas, tail_energy = _synthesis_setup(
-        z0, z1, actuator, horizon, n_modes, eps, "lumped"
-    )
+    horizon, n_modes, deltas, tail_energy = _synthesis_setup(z0, z1, horizon, n_modes, eps)
     retained: list[int] = []
     couplings: dict[int, float] = {}
     for j in range(1, n_modes + 1):
@@ -297,7 +284,7 @@ def synthesize_lumped(
         moments=tuple(deltas[j - 1] / couplings[j] for j in retained),
         horizon=horizon,
     )
-    control, moment_residuals = _solve_moments(problem, regularization)
+    control, moment_residuals = solve_moment_problem(problem, regularization)
     mismatch = math.fsum(
         (couplings[j] * float(r)) ** 2 for j, r in zip(retained, moment_residuals)
     )
@@ -320,9 +307,7 @@ def synthesize_distributed(
     same per-mode convention). The predicted error is the tail energy of
     target components beyond ``n_modes`` only.
     """
-    horizon, n_modes, deltas, tail_energy = _synthesis_setup(
-        z0, z1, actuator, horizon, n_modes, eps, "distributed"
-    )
+    horizon, n_modes, deltas, tail_energy = _synthesis_setup(z0, z1, horizon, n_modes, eps)
     if not actuator.b.to_float() > actuator.a.to_float():
         raise ValueError("actuator endpoints a < b are equal in double precision")
     exponents = tuple(eigenvalue(j) for j in range(1, n_modes + 1))

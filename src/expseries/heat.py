@@ -12,10 +12,12 @@ condition is decidable with no tolerance, which yields the exact blocked set
 
     I = { j : beta_j = 0 }
 
-and the controllability verdict: a lumped (time-only) control reaches every
-mode iff I is empty, iff both ``a - b`` and ``a + b`` are irrational. For
-rational ``a -+ b = p/q`` in lowest terms the blocked set is an exact residue
-class: j = 0 (mod q) when p is even, j = 0 (mod 2q) when p is odd.
+and the controllability verdict. A lumped (time-only) control reaches every
+mode iff I is empty (:func:`blocked_set`), iff both ``a - b`` and ``a + b``
+are irrational. For rational ``a -+ b = p/q`` in lowest terms the blocked set
+is an exact residue class: j = 0 (mod q) when p is even, j = 0 (mod 2q) when
+p is odd. A distributed (space-and-time) control reaches every mode of any
+interval (:func:`distributed_controllability`).
 """
 
 from __future__ import annotations
@@ -58,23 +60,20 @@ def decay_exponent(j: int) -> float:
 
 @dataclass(frozen=True)
 class Actuator:
-    """An interval actuator omega = (a, b) in [0, 1] with exact endpoints."""
+    """An interval omega = (a, b) in [0, 1] with exact endpoints; no control class."""
 
     a: ExactReal
     b: ExactReal
-    kind: str = "lumped"
 
     def __post_init__(self) -> None:
-        if self.kind not in ("lumped", "distributed"):
-            raise ValueError("kind must be 'lumped' or 'distributed'")
         if not isinstance(self.a, ExactReal) or not isinstance(self.b, ExactReal):
             raise TypeError("endpoints must be ExactReal values")
         if not (ExactReal(0) <= self.a < self.b <= 1):
             raise ValueError(f"need 0 <= a < b <= 1, got a={self.a}, b={self.b}")
 
     @classmethod
-    def from_strings(cls, a: str, b: str, kind: str = "lumped") -> "Actuator":
-        return cls(ExactReal.parse(a), ExactReal.parse(b), kind)
+    def from_strings(cls, a: str, b: str) -> "Actuator":
+        return cls(ExactReal.parse(a), ExactReal.parse(b))
 
     def describe(self) -> str:
         return f"omega=({self.a}, {self.b})"
@@ -173,8 +172,6 @@ def distributed_controllability(actuator: Actuator, j_check: int = 8) -> Control
     positive length, and ``Actuator`` has already decided a < b exactly.
     ``j_check >= 1`` is the mode count the report names.
     """
-    if actuator.kind != "distributed":
-        raise ValueError("actuator kind must be 'distributed'")
     j_check = _check_j_max(j_check)
     return ControllabilityReport(
         verdict=VERDICT_CONTROLLABLE,

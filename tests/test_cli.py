@@ -1,6 +1,9 @@
+import argparse
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from expseries.cli import _control_from_document, main
+from expseries.cli import _attach_endpoints, _control_from_document, build_parser, main
 from expseries.heat import Actuator, blocked_set
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -119,8 +122,13 @@ class TestSeriesCommands:
                 ["expand", "--terms", "[[1e300,100]]", "--tau", "0.0001", "--order", "120"],
                 "error: the expansion around tau=0.0001 to order 120 overflows a double\n",
             ),
+            (
+                # The terms overflow to opposite infinities, which fsum cannot add.
+                ["eval", "--terms", "[[1,-1000],[-1,-1001]]", "--t", "1"],
+                "error: the series value at t=1.0 overflows a double\n",
+            ),
         ],
-        ids=["eval", "expand"],
+        ids=["eval", "expand", "eval-opposite-infinities"],
     )
     def test_overflow_is_one_error_line_naming_the_input(self, argv, stderr):
         result = subprocess.run(
@@ -130,6 +138,11 @@ class TestSeriesCommands:
             text=True,
         )
         assert (result.returncode, result.stdout, result.stderr) == (3, "", stderr)
+
+    def test_exponent_overflow_that_underflows_is_no_error(self, capsys):
+        # lambda * t overflows to -inf, and exp(-inf) is the true value's 0.
+        code, out = run(capsys, "series", "eval", "--terms", "[[1,1e300]]", "--t", "1e10")
+        assert (code, json.loads(out)) == (0, {"value": 0.0, "errorBound": 0.0})
 
 
 class TestControlCommands:
@@ -309,7 +322,7 @@ class TestControlCommands:
         path.write_text(json.dumps(doc))  # json writes NaN, and json.loads reads it
         code = main(
             ["control", "simulate", "--control", str(path), "--a", "0", "--b", "1",
-             "--z0", "phi1", "--z1", "0", "--T", "1"]
+             "--z0", "phi1", "--z1", "0"]
         )
         captured = capsys.readouterr()
         assert code == 2
@@ -411,6 +424,22 @@ class TestDocumentShapes:
         assert (code, captured.out) == (2, "")
         assert captured.err.startswith(message)
 
+    @pytest.mark.parametrize("jmax, expected", [([], 256), (["--jmax", "300"], 300)])
+    def test_distributed_report_names_the_requested_modes(self, capsys, jmax, expected):
+        code, out = run(
+            capsys, "control", "analyze", "--kind", "distributed", "--a", "0", "--b", "1/2", *jmax
+        )
+        assert (code, json.loads(out)["jMax"]) == (0, expected)
+
+    def test_distributed_synthesis_takes_no_regularization(self, capsys):
+        argv = ["control", "synthesize", "--kind", "distributed", "--a", "3/10", "--b", "7/10",
+                "--T", "1", "--N", "2", "--target", "phi1->0"]
+        assert run(capsys, *argv, "--reg", "0")[0] == 0
+        code = main([*argv, "--reg", "5"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: --reg applies only to --kind lumped\n"
+
     def test_narrow_distributed_actuator_is_controllable(self, capsys):
         code, out = run(
             capsys, "control", "analyze", "--kind", "distributed",
@@ -483,3 +512,87 @@ class TestDeterminismAndConfig:
         )
         assert code == 0
         assert out.startswith("# expseries")
+
+
+class TestOptions:
+    """Every option a subcommand takes is one that can change its output."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["series", "eval", "--terms", "[[1,1]]", "--t", "1", "--no-header"],
+            ["series", "expand", "--terms", "[[1,1]]", "--tau", "1", "--order", "2", "--no-header"],
+            ["control", "analyze", "--a", "0", "--b", "1", "--no-header"],
+            ["control", "synthesize", "--target", "phi1->0", "--a", "0", "--b", "1",
+             "--T", "1", "--N", "1", "--no-header"],
+            [*SIMULATE, "--control", "control.json", "--kind", "lumped"],
+            [*SIMULATE, "--control", "control.json", "--T", "1"],
+            ["control", "observability", "--a", "0", "--b", "1", "--y", "phi1", "--T", "1",
+             "--kind", "lumped"],
+        ],
+        ids=["eval-no-header", "expand-no-header", "analyze-no-header",
+             "synthesize-no-header", "simulate-kind", "simulate-T", "observability-kind"],
+    )
+    def test_removed_option_is_usage_error(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "unrecognized arguments" in captured.err
+
+    def test_every_subcommand_has_a_readme_command(self):
+        assert {tuple(argv[:2]) for argv in README_COMMANDS} == set(SUBCOMMANDS)
+
+    def test_handlers_read_every_option_on_the_readme_commands(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        unread = {}
+        # In order: simulate reads the control.json that synthesize writes.
+        for argv in README_COMMANDS:
+            argv = _attach_endpoints(argv)
+            args = ReadRecorder(**vars(build_parser().parse_args(argv)))
+            args.handler(args, argv)
+            subcommand = SUBCOMMANDS[tuple(argv[:2])]
+            options = {a.dest for a in subcommand._actions if a.option_strings} - {"help"}
+            missing = options - args._read
+            if "target" in options and args.target:
+                # --target stands for --z0 and --z1, which are read only without it.
+                missing -= {"z0", "z1"}
+            if missing:
+                unread[" ".join(argv)] = sorted(missing)
+        capsys.readouterr()
+        assert unread == {}
+
+
+class ReadRecorder(argparse.Namespace):
+    """A parsed namespace that notes the name of each attribute read from it."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.__dict__["_read"] = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_read").add(name)
+        return object.__getattribute__(self, name)
+
+
+def leaf_parsers(parser, path=()):
+    """``(path, parser)`` for each subcommand, such as ``("series", "eval")``."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from leaf_parsers(sub, (*path, name))
+            return
+    yield path, parser
+
+
+SUBCOMMANDS = dict(leaf_parsers(build_parser()))
+README_COMMANDS = [
+    shlex.split(line)[1:]
+    for block in re.findall(
+        r"^```sh\n(.*?)^```",
+        (SRC.parent / "README.md").read_text(encoding="utf-8"),
+        flags=re.M | re.S,
+    )
+    for line in block.splitlines()
+    if line.startswith("expseries ")
+]

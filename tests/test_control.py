@@ -78,14 +78,14 @@ class TestGramMatrix:
 class TestSolveMomentProblem:
     def test_scalar_solve(self):
         mp = MomentProblem((-math.pi**2,), (1.0,), 1.0)
-        control = solve_moment_problem(mp)
+        control, _ = solve_moment_problem(mp)
         assert control.coeffs[0] == pytest.approx(19.739208854986785, rel=1e-12)
         assert quad_moment(control, -math.pi**2) == pytest.approx(1.0, abs=1e-9)
         assert control.moment_residual <= 1e-12
 
     def test_zero_moments_zero_control(self):
         mp = MomentProblem((-1.0, -4.0), (0.0, 0.0), 1.0)
-        control = solve_moment_problem(mp)
+        control, _ = solve_moment_problem(mp)
         assert control.coeffs == (0.0, 0.0)
         assert control.energy == 0.0
 
@@ -99,7 +99,7 @@ class TestSolveMomentProblem:
         weights /= np.linalg.norm(weights)
         moments = gram @ weights
         mp = MomentProblem(mus, tuple(moments), 1.0)
-        control = solve_moment_problem(mp, regularization=1e-10)
+        control, _ = solve_moment_problem(mp, regularization=1e-10)
         for mu, m in zip(mus, moments):
             assert abs(quad_moment(control, mu) - m) < 1e-6
 
@@ -107,7 +107,7 @@ class TestSolveMomentProblem:
         rng = np.random.default_rng(3)
         mus = tuple(eigenvalue(j) for j in range(1, 7))
         moments = tuple(rng.standard_normal(6))
-        control = solve_moment_problem(MomentProblem(mus, moments, 1.0))
+        control, _ = solve_moment_problem(MomentProblem(mus, moments, 1.0))
         scale = max(abs(m) for m in moments)
         assert control.moment_residual <= 1e-8 * scale
         for mu, m in zip(mus, moments):
@@ -117,7 +117,7 @@ class TestSolveMomentProblem:
         # Any zero-moment perturbation increases the L2 energy.
         mus = (-1.0, -4.0, -9.0)
         moments = (0.5, -0.2, 0.1)
-        control = solve_moment_problem(MomentProblem(mus, moments, 1.0))
+        control, _ = solve_moment_problem(MomentProblem(mus, moments, 1.0))
 
         def energy(fn) -> float:
             value, _ = quad(lambda s: fn(s) ** 2, 0.0, 1.0, limit=200)
@@ -157,7 +157,7 @@ class TestSolveMomentProblem:
         # Backward-stable solves leave tiny residuals even at cond ~1e14;
         # the conditioning guard is for outright breakdown.
         mus = tuple(eigenvalue(j) for j in range(1, 13))
-        control = solve_moment_problem(MomentProblem(mus, tuple(np.ones(12)), 1.0))
+        control, _ = solve_moment_problem(MomentProblem(mus, tuple(np.ones(12)), 1.0))
         assert control.moment_residual <= 1e-6
         assert control.gram_condition > 1e10
 
@@ -217,17 +217,10 @@ class TestSynthesizeLumped:
                 SpectralState.unit_mode(1), SpectralState.zero(1), act, 0.0, 1, 1e-6
             )
 
-    def test_wrong_kind_rejected(self):
-        act = Actuator.from_strings("0", "1", kind="distributed")
-        with pytest.raises(ValueError, match="lumped"):
-            synthesize_lumped(
-                SpectralState.unit_mode(1), SpectralState.zero(1), act, 1.0, 1, 1e-6
-            )
-
 
 class TestSynthesizeDistributed:
     def test_free_dynamics_reach_target(self):
-        act = Actuator.from_strings("0.3", "0.7", kind="distributed")
+        act = Actuator.from_strings("0.3", "0.7")
         z0 = SpectralState((1.0, -0.5))
         z1 = SpectralState(
             tuple(math.exp(eigenvalue(j) * 1.0) * z0.coeffs[j - 1] for j in (1, 2))
@@ -237,7 +230,7 @@ class TestSynthesizeDistributed:
         assert predicted == 0.0
 
     def test_tail_energy_reported(self):
-        act = Actuator.from_strings("0.3", "0.7", kind="distributed")
+        act = Actuator.from_strings("0.3", "0.7")
         z0 = SpectralState((1.0, 0.0, 0.25))
         control, predicted = synthesize_distributed(
             z0, SpectralState.zero(3), act, 1.0, 2, 1e-6
@@ -245,20 +238,14 @@ class TestSynthesizeDistributed:
         tail = abs(math.exp(eigenvalue(3)) * 0.25)
         assert predicted == pytest.approx(tail, rel=1e-12)
 
-    def test_wrong_kind_rejected(self):
-        act = Actuator.from_strings("0.3", "0.7", kind="lumped")
-        with pytest.raises(ValueError, match="distributed"):
-            synthesize_distributed(
-                SpectralState.unit_mode(1), SpectralState.zero(1), act, 1.0, 1, 1e-6
-            )
-
 
 @pytest.mark.parametrize(
     "synthesize, kind", [(synthesize_lumped, "lumped"), (synthesize_distributed, "distributed")]
 )
 @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0])
 def test_eps_must_be_finite_and_positive(synthesize, kind, eps):
-    act = Actuator.from_strings("0.3", "0.7", kind=kind)
+    # ``kind`` only names the case: one actuator serves both control classes.
+    act = Actuator.from_strings("0.3", "0.7")
     with pytest.raises(ValueError, match="eps must be"):
         synthesize(SpectralState.unit_mode(1), SpectralState.zero(1), act, 1.0, 1, eps)
 
@@ -320,7 +307,7 @@ class TestControlFunction:
 class TestDocuments:
     def test_round_trip(self):
         mp = MomentProblem((-1.0, -4.0), (0.5, -0.25), 2.0)
-        control = solve_moment_problem(mp)
+        control, _ = solve_moment_problem(mp)
         doc = _control_document(control)
         assert set(doc) == {
             "kind",

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -101,9 +102,7 @@ class TestOverlap:
     def test_reflection_symmetry(self, rng):
         for _ in range(5):
             act = random_rational_actuator(rng)
-            mirrored = Actuator(
-                ExactReal(1) - act.b, ExactReal(1) - act.a, act.kind
-            )
+            mirrored = Actuator(ExactReal(1) - act.b, ExactReal(1) - act.a)
             for j in range(1, 9):
                 sign = (-1.0) ** (j + 1)
                 assert overlap(mirrored, j) == pytest.approx(
@@ -200,7 +199,7 @@ class TestBlockedSet:
 
 class TestDistributed:
     def test_interior_interval(self):
-        act = Actuator.from_strings("0.3", "0.7", kind="distributed")
+        act = Actuator.from_strings("0.3", "0.7")
         report = distributed_controllability(act)
         assert report.verdict == "controllable"
         # Positivity witness, quadrature-verified.
@@ -211,23 +210,18 @@ class TestDistributed:
         assert gamma1 > 0
 
     def test_full_domain(self):
-        act = Actuator.from_strings("0", "1", kind="distributed")
+        act = Actuator.from_strings("0", "1")
         assert distributed_controllability(act).verdict == "controllable"
 
     def test_half_domain_contrast_with_lumped(self):
-        distributed = Actuator.from_strings("0", "1/2", kind="distributed")
-        assert distributed_controllability(distributed).verdict == "controllable"
-        lumped = Actuator.from_strings("0", "1/2", kind="lumped")
-        assert blocked_set(lumped, 8).verdict == "not-controllable"
-
-    def test_kind_checked(self):
-        act = Actuator.from_strings("0", "1/2", kind="lumped")
-        with pytest.raises(ValueError, match="distributed"):
-            distributed_controllability(act)
+        # The same actuator: the function asked picks the control class.
+        act = Actuator.from_strings("0", "1/2")
+        assert distributed_controllability(act).verdict == "controllable"
+        assert blocked_set(act, 8).verdict == "not-controllable"
 
     @pytest.mark.parametrize("j_check", [0, -5])
     def test_mode_count_checked(self, j_check):
-        act = Actuator.from_strings("0", "1/2", kind="distributed")
+        act = Actuator.from_strings("0", "1/2")
         with pytest.raises(ValueError, match="j_max must be at least 1"):
             distributed_controllability(act, j_check)
 
@@ -254,6 +248,7 @@ class TestActuator:
         with pytest.raises(ValueError, match="0 <= a < b <= 1"):
             Actuator.from_strings(b, a)
 
-    def test_kind_validated(self):
-        with pytest.raises(ValueError, match="kind"):
-            Actuator.from_strings("0", "1", kind="boundary")
+    def test_an_actuator_is_its_interval(self):
+        assert [field.name for field in fields(Actuator)] == ["a", "b"]
+        with pytest.raises(TypeError):
+            Actuator.from_strings("0", "1", "distributed")

@@ -228,7 +228,7 @@ class TestPropagate:
         assert np.all(traj.states[:, unblocked] == 0.0)
 
     def test_distributed_steering(self):
-        act = Actuator.from_strings("0.3", "0.7", kind="distributed")
+        act = Actuator.from_strings("0.3", "0.7")
         z0 = SpectralState.unit_mode(1)
         z1 = SpectralState.zero(1)
         control, _ = synthesize_distributed(z0, z1, act, 1.0, 1, 1e-6)
@@ -249,7 +249,7 @@ class TestPropagate:
         assert wide.terminal_error >= predicted
 
     def test_distributed_eight_random_targets(self, rng):
-        act = Actuator.from_strings("0.3", "0.7", kind="distributed")
+        act = Actuator.from_strings("0.3", "0.7")
         z0 = SpectralState(tuple(rng.standard_normal(8)))
         z1 = SpectralState(tuple(rng.standard_normal(8)))
         control, predicted = synthesize_distributed(z0, z1, act, 1.0, 8, 1e-6)
