@@ -30,7 +30,6 @@ def main() -> None:
         actuator,
         horizon,
         n_modes,
-        eps=1e-6,
     )
     print(f"retained exponents: {[f'{mu:.2f}' for mu in control.exponents]}")
     print(f"coefficients:       {[f'{c:.3e}' for c in control.coeffs]}")

@@ -40,7 +40,7 @@ class ConditioningError(Exception):
 
 # The names each module exports; __getattr__ imports the module on first use.
 _MODULE_EXPORTS = {
-    "control": ("ControlFunction", "MomentProblem", "SpectralState"),
+    "control": ("ControlFunction", "SpectralState"),
     "exact": ("ExactReal",),
     "heat": ("Actuator", "ControllabilityReport"),
     "series": ("DirichletSeries", "SeriesValue", "TailModel"),

@@ -122,6 +122,10 @@ def _numbers(doc: dict, key: str, name: str) -> tuple[float, ...]:
     return tuple(_parse_number(x, name) for x in doc[key])
 
 
+def _optional_number(doc: dict, key: str) -> float | None:
+    return None if doc.get(key) is None else _parse_number(doc[key], key)
+
+
 def _control_from_document(doc: dict) -> ControlFunction:
     from .control import ControlFunction
     return ControlFunction(
@@ -129,9 +133,9 @@ def _control_from_document(doc: dict) -> ControlFunction:
         horizon=_parse_number(doc["T"], "T"),
         exponents=_numbers(doc, "exponents", "control exponent"),
         coeffs=_numbers(doc, "coeffs", "control coefficient"),
-        moment_residual=doc.get("momentResidual"),
-        energy=doc.get("energy"),
-        gram_condition=doc.get("gramCondition"),
+        moment_residual=_optional_number(doc, "momentResidual"),
+        energy=_optional_number(doc, "energy"),
+        gram_condition=_optional_number(doc, "gramCondition"),
     )
 
 
@@ -263,8 +267,13 @@ def _cmd_series_remainder(args, argv) -> None:
     s = _load_series(args)
     if args.nmax < 1:
         raise ValueError("--nmax must be at least 1")
-    with _overflow_names(f"the remainder table around tau={args.tau!r} at t={args.t!r}"):
+    what = f"the remainder table around tau={args.tau!r} at t={args.t!r}"
+    with _overflow_names(what):
         expansion = taylor.expand(s, args.tau, args.nmax)
+    # Outside (0, 2*tau) the powers of t - tau overflow. Checked between the
+    # blocks, a range error is never reported as an overflow noted in expand.
+    taylor._radius_ratio(expansion, args.t)
+    with _overflow_names(what):
         exact_value = series.evaluate(s, args.t).value
         partials = taylor.partial_sums(expansion, args.t)
         rows = [
@@ -299,6 +308,8 @@ def _cmd_control_analyze(args, argv) -> None:
 
 def _resolve_states(args) -> tuple[SpectralState, SpectralState]:
     if args.target:
+        if args.z0 is not None or args.z1 is not None:
+            raise ValueError("give either --target or --z0 and --z1, not both")
         pieces = args.target.split("->")
         if len(pieces) != 2:
             raise ValueError("--target must look like 'phi1->0'")
@@ -317,9 +328,11 @@ def _cmd_control_synthesize(args, argv) -> None:
     if args.kind == "distributed":
         if args.reg != 0.0:
             raise ValueError("--reg applies only to --kind lumped")
-        control, predicted = synthesize_distributed(z0, z1, actuator, args.T, args.N, args.eps)
+        control, predicted = synthesize_distributed(z0, z1, actuator, args.T, args.N)
     else:
-        control, predicted = synthesize_lumped(z0, z1, actuator, args.T, args.N, args.eps, args.reg)
+        control, predicted = synthesize_lumped(
+            z0, z1, actuator, args.T, args.N, regularization=args.reg
+        )
     doc = _control_document(control)
     doc["predictedError"] = predicted
     _emit(args, _dump_json(doc), argv, False)
@@ -409,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_syn = cp_sub.add_parser("synthesize", parents=[out_parent, actuator_parent, kind_parent])
     p_syn.add_argument("--T", type=float, required=True)
     p_syn.add_argument("--N", type=int, required=True)
-    p_syn.add_argument("--eps", type=float, default=1e-6)
     p_syn.add_argument("--reg", type=float, default=0.0)
     p_syn.add_argument("--target", help="shorthand 'phi1->0'")
     p_syn.add_argument("--z0", help="state: 0, phiN, or JSON list")

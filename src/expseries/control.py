@@ -90,27 +90,6 @@ class SpectralState:
 
 
 @dataclass(frozen=True)
-class MomentProblem:
-    """Target moments ``m_j`` for kernels ``exp(mu_j (T - s))`` on [0, T]."""
-
-    exponents: tuple[float, ...]
-    moments: tuple[float, ...]
-    horizon: float
-
-    def __post_init__(self) -> None:
-        exps = tuple(_require_finite(m, "exponent") for m in self.exponents)
-        moms = tuple(_require_finite(m, "moment") for m in self.moments)
-        if len(exps) != len(moms) or not exps:
-            raise ValueError("exponents and moments must be nonempty and equally long")
-        if any(b >= a for a, b in zip(exps, exps[1:])):
-            raise ValueError("exponents must be strictly decreasing")
-        horizon = _require_positive(self.horizon, "horizon")
-        object.__setattr__(self, "exponents", exps)
-        object.__setattr__(self, "moments", moms)
-        object.__setattr__(self, "horizon", horizon)
-
-
-@dataclass(frozen=True)
 class ControlFunction:
     """A synthesized control: exponential-sum profile(s) on [0, horizon].
 
@@ -164,20 +143,26 @@ def gram_matrix(exponents: Sequence[float], horizon: float) -> np.ndarray:
 
 
 def solve_moment_problem(
-    problem: MomentProblem, regularization: float = 0.0
+    exponents: Sequence[float], moments: Sequence[float], horizon: float,
+    regularization: float = 0.0,
 ) -> tuple[ControlFunction, np.ndarray]:
     """Solve ``(G + regularization I) c = m``; return the control and ``G c - m``.
 
-    The control reports the achieved moment residual ``max_j |(G c - m)_j|``
-    and the control energy ``c' G c``. At zero regularization a residual
-    above ``1e-6 * max|m|`` raises :class:`ConditioningError`: regularize or
-    drop modes instead of trusting the coefficients.
+    ``moments[j]`` is the target moment of ``exp(exponents[j] (T - s))`` on
+    [0, horizon], the exponents in any order. The control reports the achieved
+    moment residual ``max_j |(G c - m)_j|`` and the control energy ``c' G c``.
+    At zero regularization a residual above ``1e-6 * max|m|`` raises
+    :class:`ConditioningError`: regularize or drop modes instead of trusting
+    the coefficients.
     """
     regularization = _require_finite(regularization, "regularization")
     if regularization < 0:
         raise ValueError("regularization must be nonnegative")
-    gram = gram_matrix(problem.exponents, problem.horizon)
-    moments = np.array(problem.moments, dtype=float)
+    exponents = tuple(map(float, exponents))
+    gram = gram_matrix(exponents, horizon)
+    moments = np.array(moments, dtype=float)
+    if not exponents or moments.shape != (len(exponents),) or not np.isfinite(moments).all():
+        raise ValueError("moments must be one finite value per exponent, and exponents nonempty")
     system = gram + regularization * np.eye(len(moments))
     try:
         coeffs = np.linalg.solve(system, moments)
@@ -186,7 +171,7 @@ def solve_moment_problem(
         raise ConditioningError(f"moment system solve failed: {exc}") from exc
     residuals = gram @ coeffs - moments
     residual = float(np.max(np.abs(residuals)))
-    scale = float(np.max(np.abs(moments))) if moments.size else 0.0
+    scale = float(np.max(np.abs(moments)))
     if not math.isfinite(residual):
         raise ConditioningError("moment solve produced non-finite residuals")
     if regularization == 0.0 and residual > 1e-6 * scale:
@@ -196,8 +181,8 @@ def solve_moment_problem(
         )
     control = ControlFunction(
         kind="lumped",
-        horizon=problem.horizon,
-        exponents=problem.exponents,
+        horizon=float(horizon),
+        exponents=exponents,
         coeffs=tuple(float(c) for c in coeffs),
         moment_residual=residual,
         energy=float(coeffs @ gram @ coeffs),
@@ -238,7 +223,7 @@ def synthesize_lumped(
     actuator: Actuator,
     horizon: float,
     n_modes: int,
-    eps: float,
+    eps: float = 1e-6,
     regularization: float = 0.0,
 ) -> tuple[ControlFunction, float]:
     """Lumped control steering modes 1..n_modes of z0 toward z1.
@@ -251,7 +236,8 @@ def synthesize_lumped(
     change still needed beyond ``n_modes``. It does not count the control's
     spillover into modes beyond ``n_modes``, which
     :func:`expseries.simulate.verify_control` measures. ``eps`` is validated
-    (finite and positive) but not used.
+    (finite and positive) but not used; it keeps its place only because
+    callers pass it by position before ``regularization``.
     """
     horizon, n_modes, deltas, tail_energy = _synthesis_setup(z0, z1, horizon, n_modes, eps)
     retained: list[int] = []
@@ -279,12 +265,11 @@ def synthesize_lumped(
         )
         return control, math.sqrt(tail_energy)
 
-    problem = MomentProblem(
-        exponents=tuple(eigenvalue(j) for j in retained),
-        moments=tuple(deltas[j - 1] / couplings[j] for j in retained),
-        horizon=horizon,
+    control, moment_residuals = solve_moment_problem(
+        [eigenvalue(j) for j in retained],
+        [deltas[j - 1] / couplings[j] for j in retained],
+        horizon, regularization,
     )
-    control, moment_residuals = solve_moment_problem(problem, regularization)
     mismatch = math.fsum(
         (couplings[j] * float(r)) ** 2 for j, r in zip(retained, moment_residuals)
     )
@@ -297,7 +282,7 @@ def synthesize_distributed(
     actuator: Actuator,
     horizon: float,
     n_modes: int,
-    eps: float,
+    eps: float = 1e-6,
 ) -> tuple[ControlFunction, float]:
     """Distributed control: per-mode channels, each retained mode hit exactly.
 
@@ -305,7 +290,8 @@ def synthesize_distributed(
     acting with weight ``gamma_j = integral of phi_j^2 over omega > 0``; cross
     couplings between channels are not modeled (the simulator applies the
     same per-mode convention). The predicted error is the tail energy of
-    target components beyond ``n_modes`` only.
+    target components beyond ``n_modes`` only. ``eps`` is validated but not
+    used, as in :func:`synthesize_lumped`.
     """
     horizon, n_modes, deltas, tail_energy = _synthesis_setup(z0, z1, horizon, n_modes, eps)
     if not actuator.b.to_float() > actuator.a.to_float():

@@ -144,6 +144,20 @@ class TestSeriesCommands:
         code, out = run(capsys, "series", "eval", "--terms", "[[1,1e300]]", "--t", "1e10")
         assert (code, json.loads(out)) == (0, {"value": 0.0, "errorBound": 0.0})
 
+    @pytest.mark.parametrize(
+        "terms, tau, t",
+        [("[[1,1]]", "1", "1e200"), ("[[1,1e300]]", "1e10", "3e10")],
+        ids=["powers-overflow", "after-harmless-overflow"],
+    )
+    def test_remainder_outside_the_disc_names_the_range(self, capsys, terms, tau, t):
+        # The first would sum opposite infinities of (t - tau)^n; in the
+        # second, lambda * tau overflows harmlessly before the range is known.
+        argv = ["series", "remainder", "--terms", terms, "--tau", tau, "--t", t, "--nmax", "5"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: t must lie in (0, 2*tau) = (0, ")
+
 
 class TestControlCommands:
     def test_analyze_half_interval(self, capsys):
@@ -282,13 +296,23 @@ class TestControlCommands:
         "command",
         [
             ["observability", "--y", "phi1", "--tol", "nan"],
-            ["synthesize", "--target", "phi1->0", "--N", "1", "--eps", "nan"],
+            ["synthesize", "--target", "phi1->0", "--N", "1", "--reg", "nan"],
         ],
     )
     def test_nan_tolerance_is_validation_error(self, capsys, command):
         code = main(["control", *command, "--a", "0", "--b", "1/2", "--T", "1"])
         assert code == 2
         assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "states", [["--z0", "phi2"], ["--z1", "phi3"], ["--z0", "phi2", "--z1", "phi3"]]
+    )
+    def test_target_with_explicit_states_is_validation_error(self, capsys, states):
+        code = main(["control", "synthesize", "--target", "phi1->0", *states,
+                     "--a", "0", "--b", "1", "--T", "1", "--N", "3"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: give either --target or --z0 and --z1, not both\n"
 
     def test_bool_state_coefficient_is_validation_error(self, capsys):
         code = main(
@@ -412,6 +436,10 @@ class TestDocumentShapes:
             ({"exponents": "98", "coeffs": "12"}, "error: control 'exponents' must be a JSON array"),
             ({"coeffs": [True]}, "error: control coefficient must be a number, got a bool"),
             ({"T": True}, "error: T must be a number, got a bool"),
+            ({"energy": "abc"}, "error: energy does not parse as decimal or rational"),
+            ({"momentResidual": [1, 2]}, "error: momentResidual must be a number"),
+            ({"gramCondition": True}, "error: gramCondition must be a number, got a bool"),
+            ({"energy": math.inf}, "error: energy must be finite"),
         ],
     )
     def test_control_document_of_wrong_shape_is_validation_error(
@@ -423,6 +451,10 @@ class TestDocumentShapes:
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert captured.err.startswith(message)
+
+    def test_absent_control_diagnostics_read_as_none(self):
+        control = _control_from_document(CONTROL_DOC)
+        assert (control.moment_residual, control.energy, control.gram_condition) == (None,) * 3
 
     @pytest.mark.parametrize("jmax, expected", [([], 256), (["--jmax", "300"], 300)])
     def test_distributed_report_names_the_requested_modes(self, capsys, jmax, expected):
@@ -529,9 +561,12 @@ class TestOptions:
             [*SIMULATE, "--control", "control.json", "--T", "1"],
             ["control", "observability", "--a", "0", "--b", "1", "--y", "phi1", "--T", "1",
              "--kind", "lumped"],
+            ["control", "synthesize", "--target", "phi1->0", "--a", "0", "--b", "1",
+             "--T", "1", "--N", "1", "--eps", "1e-6"],
         ],
         ids=["eval-no-header", "expand-no-header", "analyze-no-header",
-             "synthesize-no-header", "simulate-kind", "simulate-T", "observability-kind"],
+             "synthesize-no-header", "simulate-kind", "simulate-T", "observability-kind",
+             "synthesize-eps"],
     )
     def test_removed_option_is_usage_error(self, capsys, argv):
         code = main(argv)
@@ -553,9 +588,6 @@ class TestOptions:
             subcommand = SUBCOMMANDS[tuple(argv[:2])]
             options = {a.dest for a in subcommand._actions if a.option_strings} - {"help"}
             missing = options - args._read
-            if "target" in options and args.target:
-                # --target stands for --z0 and --z1, which are read only without it.
-                missing -= {"z0", "z1"}
             if missing:
                 unread[" ".join(argv)] = sorted(missing)
         capsys.readouterr()

@@ -10,7 +10,6 @@ from expseries.control import (
     BlockedModeError,
     ConditioningError,
     ControlFunction,
-    MomentProblem,
     SpectralState,
     gram_matrix,
     solve_moment_problem,
@@ -77,15 +76,13 @@ class TestGramMatrix:
 
 class TestSolveMomentProblem:
     def test_scalar_solve(self):
-        mp = MomentProblem((-math.pi**2,), (1.0,), 1.0)
-        control, _ = solve_moment_problem(mp)
+        control, _ = solve_moment_problem([-math.pi**2], [1.0], 1.0)
         assert control.coeffs[0] == pytest.approx(19.739208854986785, rel=1e-12)
         assert quad_moment(control, -math.pi**2) == pytest.approx(1.0, abs=1e-9)
         assert control.moment_residual <= 1e-12
 
     def test_zero_moments_zero_control(self):
-        mp = MomentProblem((-1.0, -4.0), (0.0, 0.0), 1.0)
-        control, _ = solve_moment_problem(mp)
+        control, _ = solve_moment_problem([-1.0, -4.0], [0.0, 0.0], 1.0)
         assert control.coeffs == (0.0, 0.0)
         assert control.energy == 0.0
 
@@ -98,8 +95,7 @@ class TestSolveMomentProblem:
         weights = rng.standard_normal(6)
         weights /= np.linalg.norm(weights)
         moments = gram @ weights
-        mp = MomentProblem(mus, tuple(moments), 1.0)
-        control, _ = solve_moment_problem(mp, regularization=1e-10)
+        control, _ = solve_moment_problem(mus, moments, 1.0, regularization=1e-10)
         for mu, m in zip(mus, moments):
             assert abs(quad_moment(control, mu) - m) < 1e-6
 
@@ -107,7 +103,7 @@ class TestSolveMomentProblem:
         rng = np.random.default_rng(3)
         mus = tuple(eigenvalue(j) for j in range(1, 7))
         moments = tuple(rng.standard_normal(6))
-        control, _ = solve_moment_problem(MomentProblem(mus, moments, 1.0))
+        control, _ = solve_moment_problem(mus, moments, 1.0)
         scale = max(abs(m) for m in moments)
         assert control.moment_residual <= 1e-8 * scale
         for mu, m in zip(mus, moments):
@@ -117,7 +113,7 @@ class TestSolveMomentProblem:
         # Any zero-moment perturbation increases the L2 energy.
         mus = (-1.0, -4.0, -9.0)
         moments = (0.5, -0.2, 0.1)
-        control, _ = solve_moment_problem(MomentProblem(mus, moments, 1.0))
+        control, _ = solve_moment_problem(mus, moments, 1.0)
 
         def energy(fn) -> float:
             value, _ = quad(lambda s: fn(s) ** 2, 0.0, 1.0, limit=200)
@@ -149,21 +145,43 @@ class TestSolveMomentProblem:
 
     def test_conditioning_error_on_singular_gram(self):
         # Rates this close make every Gram entry exactly T: a singular solve.
-        mp = MomentProblem((1e-300, 0.0), (1.0, 2.0), 1.0)
         with pytest.raises(ConditioningError, match="solve failed"):
-            solve_moment_problem(mp)
+            solve_moment_problem([1e-300, 0.0], [1.0, 2.0], 1.0)
 
     def test_large_mode_counts_keep_small_residuals(self):
         # Backward-stable solves leave tiny residuals even at cond ~1e14;
         # the conditioning guard is for outright breakdown.
         mus = tuple(eigenvalue(j) for j in range(1, 13))
-        control, _ = solve_moment_problem(MomentProblem(mus, tuple(np.ones(12)), 1.0))
+        control, _ = solve_moment_problem(mus, np.ones(12), 1.0)
         assert control.moment_residual <= 1e-6
         assert control.gram_condition > 1e10
 
-    def test_exponents_must_decrease(self):
-        with pytest.raises(ValueError, match="decreasing"):
-            MomentProblem((-4.0, -1.0), (1.0, 1.0), 1.0)
+    def test_exponent_order_does_not_change_the_control(self):
+        increasing, _ = solve_moment_problem([-4.0, -1.0], [0.25, 1.0], 1.0)
+        decreasing, _ = solve_moment_problem([-1.0, -4.0], [1.0, 0.25], 1.0)
+        assert increasing.coeffs == pytest.approx(decreasing.coeffs[::-1], rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "moments",
+        [[1.0], [1.0, 2.0, 3.0], [1.0, math.nan], [math.inf, 1.0], [[1.0], [2.0]]],
+        ids=["short", "long", "nan", "inf", "nested"],
+    )
+    def test_moments_must_be_one_finite_value_per_exponent(self, moments):
+        with pytest.raises(ValueError, match="one finite value per exponent"):
+            solve_moment_problem([-1.0, -4.0], moments, 1.0)
+
+    def test_no_exponents_is_validation_error(self):
+        with pytest.raises(ValueError, match="exponents nonempty"):
+            solve_moment_problem([], [], 1.0)
+
+    @pytest.mark.parametrize(
+        "exponents, horizon, message",
+        [([-1.0, -1.0], 1.0, "duplicate"), ([math.nan], 1.0, "exponent must be finite"),
+         ([-1.0], 0.0, "horizon must be positive")],
+    )
+    def test_gram_checks_exponents_and_horizon(self, exponents, horizon, message):
+        with pytest.raises(ValueError, match=message):
+            solve_moment_problem(exponents, [1.0] * len(exponents), horizon)
 
 
 class TestSynthesizeLumped:
@@ -306,8 +324,7 @@ class TestControlFunction:
 
 class TestDocuments:
     def test_round_trip(self):
-        mp = MomentProblem((-1.0, -4.0), (0.5, -0.25), 2.0)
-        control, _ = solve_moment_problem(mp)
+        control, _ = solve_moment_problem([-1.0, -4.0], [0.5, -0.25], 2.0)
         doc = _control_document(control)
         assert set(doc) == {
             "kind",
