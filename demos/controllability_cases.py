@@ -9,8 +9,8 @@ with an irrational endpoint combination that blocks nothing. Distributed
 from expseries.heat import (
     Actuator,
     blocked_set,
+    coupling_coefficient,
     distributed_controllability,
-    overlap,
 )
 
 
@@ -23,7 +23,7 @@ def show(act: Actuator, j_max: int = 20) -> None:
         print(f"  exact characterization: blocked iff {rules}")
         print(f"  controllable subspace: {report.subspace}")
     for j in range(1, 7):
-        print(f"    overlap with mode {j}: {overlap(act, j):+.6f}")
+        print(f"    overlap with mode {j}: {coupling_coefficient(act, j):+.6f}")
 
 
 def main() -> None:

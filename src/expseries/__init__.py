@@ -35,7 +35,7 @@ class BlockedModeError(Exception):
 
 
 class ConditioningError(Exception):
-    """The moment solve is too ill conditioned to trust at the requested setup."""
+    """A moment solve too ill conditioned to trust, or an unblocked overlap that rounds to 0."""
 
 
 # The names each module exports; __getattr__ imports the module on first use.

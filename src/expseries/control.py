@@ -34,7 +34,7 @@ import numpy as np
 
 from . import BlockedModeError, ConditioningError
 from ._numerics import exp_integral
-from .heat import Actuator, coupling_coefficient, eigenvalue, mode_energy
+from .heat import Actuator, _blocked, coupling_coefficient, eigenvalue, mode_energy
 from .series import _require_finite, _require_positive
 
 
@@ -230,31 +230,35 @@ def synthesize_lumped(
 
     Blocked modes (exact zero overlap) with a nontrivial moment requirement
     raise :class:`BlockedModeError`; blocked modes whose requirement is
-    already met by free decay are skipped. The returned ``predicted_error``
-    is the 2-norm of the terminal miss that the moment residuals ``r_j``
-    imply on the retained modes (``beta_j r_j``) together with the state
-    change still needed beyond ``n_modes``. It does not count the control's
-    spillover into modes beyond ``n_modes``, which
+    already met by free decay are skipped. An unblocked mode whose overlap
+    rounds to 0.0 raises :class:`ConditioningError`. The returned
+    ``predicted_error`` is the 2-norm of the terminal miss that the moment
+    residuals ``r_j`` imply on the retained modes (``beta_j r_j``) together
+    with the state change still needed beyond ``n_modes``. It does not count
+    the control's spillover into modes beyond ``n_modes``, which
     :func:`expseries.simulate.verify_control` measures. ``eps`` is validated
     (finite and positive) but not used; it keeps its place only because
     callers pass it by position before ``regularization``.
     """
     horizon, n_modes, deltas, tail_energy = _synthesis_setup(z0, z1, horizon, n_modes, eps)
-    retained: list[int] = []
     couplings: dict[int, float] = {}
     for j in range(1, n_modes + 1):
-        beta = coupling_coefficient(actuator, j)
-        if beta == 0.0:
+        if _blocked(j, actuator.blocked_moduli):
             if deltas[j - 1] != 0.0:
                 raise BlockedModeError(
                     f"mode {j} cannot be steered: actuator {actuator.describe()} "
                     f"has exactly zero overlap with phi_{j}"
                 )
             continue
-        retained.append(j)
+        beta = coupling_coefficient(actuator, j)
+        if beta == 0.0:
+            raise ConditioningError(
+                f"mode {j} is not blocked, but the overlap of actuator "
+                f"{actuator.describe()} with phi_{j} rounds to 0.0 in double precision"
+            )
         couplings[j] = beta
 
-    if not retained:
+    if not couplings:
         control = ControlFunction(
             kind="lumped",
             horizon=horizon,
@@ -266,12 +270,12 @@ def synthesize_lumped(
         return control, math.sqrt(tail_energy)
 
     control, moment_residuals = solve_moment_problem(
-        [eigenvalue(j) for j in retained],
-        [deltas[j - 1] / couplings[j] for j in retained],
+        [eigenvalue(j) for j in couplings],
+        [deltas[j - 1] / beta for j, beta in couplings.items()],
         horizon, regularization,
     )
     mismatch = math.fsum(
-        (couplings[j] * float(r)) ** 2 for j, r in zip(retained, moment_residuals)
+        (beta * float(r)) ** 2 for beta, r in zip(couplings.values(), moment_residuals)
     )
     return control, math.sqrt(mismatch + tail_energy)
 

@@ -8,8 +8,8 @@ and with them ``<`` and ``<=``, are decided exactly for the square roots and
 through a rational enclosure for ``pi``. That is all the actuator endpoint
 tests require, so no general algebraic-number machinery is built.
 
-Decimal literals are parsed into exact rationals (``"0.3"`` becomes 3/10);
-floating-point values are never trusted for rationality decisions.
+Decimal literals are parsed into exact rationals (``"0.3"`` becomes 3/10) and
+a zero denominator is refused; floats are never trusted for rationality.
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ def _sign(value: Fraction) -> int:
 
 
 _TERM_RE = re.compile(
-    r"^(?P<first>[+-]?(?:\d+\.\d+|\d+(?:/\d+)?))"
+    r"^(?P<first>[+-]?(?:\d+\.\d+|\d+(?:/0*[1-9]\d*)?))"
     r"(?:\*(?P<tag1>[A-Za-z_][A-Za-z0-9_]*))?"
-    r"(?:(?P<op>[+-])(?P<second>\d+\.\d+|\d+(?:/\d+)?)"
+    r"(?:(?P<op>[+-])(?P<second>\d+\.\d+|\d+(?:/0*[1-9]\d*)?)"
     r"\*(?P<tag2>[A-Za-z_][A-Za-z0-9_]*))?$"
 )
 

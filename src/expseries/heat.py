@@ -94,25 +94,24 @@ class Actuator:
         return tuple(reduced)
 
 
-def overlap(actuator: Actuator, j: int) -> float:
-    """beta_j = integral of phi_j over omega, in closed form (floating point)."""
-    j = _check_mode(j)
-    fa = actuator.a.to_float()
-    fb = actuator.b.to_float()
-    return _SQRT2 * (math.cos(j * math.pi * fa) - math.cos(j * math.pi * fb)) / (j * math.pi)
+def _blocked(j: int, moduli: tuple[int, ...]) -> bool:
+    """The residue rule: j is blocked iff some modulus divides it."""
+    return any(j % m == 0 for m in moduli)
 
 
 def coupling_coefficient(actuator: Actuator, j: int) -> float:
-    """Overlap with exact zeros snapped to 0.0.
+    """beta_j = integral of phi_j over omega, in closed form (floating point).
 
-    The closed form can leave an exactly-vanishing overlap at a few ulps in
-    floating point; simulation and synthesis need blocked modes to carry a
-    coupling of exactly zero.
+    Blocked modes are decided exactly and get exactly 0.0: the closed form
+    can leave them at a few ulps. An unblocked mode of a narrow actuator can
+    also round to 0.0; only :attr:`Actuator.blocked_moduli` tells them apart.
     """
     j = _check_mode(j)
-    if any(j % m == 0 for m in actuator.blocked_moduli):
+    if _blocked(j, actuator.blocked_moduli):
         return 0.0
-    return overlap(actuator, j)
+    fa = actuator.a.to_float()
+    fb = actuator.b.to_float()
+    return _SQRT2 * (math.cos(j * math.pi * fa) - math.cos(j * math.pi * fb)) / (j * math.pi)
 
 
 def mode_energy(actuator: Actuator, j: int) -> float:
@@ -141,8 +140,7 @@ class ControllabilityReport:
     subspace: str
 
     def is_blocked(self, j: int) -> bool:
-        j = _check_mode(j)
-        return any(j % m == 0 for m in self.moduli)
+        return _blocked(_check_mode(j), self.moduli)
 
 
 def blocked_set(actuator: Actuator, j_max: int = 256) -> ControllabilityReport:

@@ -20,6 +20,9 @@ otherwise); a panel that misses the tolerance at the depth limit, and a step
 that runs out of its panel budget, each emit a ``RuntimeWarning``.
 Distributed controls drive each mode through its own channel with weight
 ``gamma_j`` (the per-mode convention shared with the synthesizer).
+The sensor output sampled by :func:`observability_signal` vanishes
+identically iff :func:`project_onto_v` zeroes every coordinate of ``y``
+(the uniqueness principle), so observability is decided exactly.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ import numpy as np
 
 from ._numerics import adaptive_gauss_legendre, exp_integral_grid
 from .control import ControlFunction, SpectralState
-from .heat import Actuator, coupling_coefficient, decay_exponent, eigenvalue, mode_energy
-from .series import DirichletSeries, _require_positive
+from .heat import Actuator, coupling_coefficient, eigenvalue, mode_energy
+from .series import _require_positive
 from .uniqueness import SampledSignal
 
 ControlLike = ControlFunction | Callable[[np.ndarray], np.ndarray] | None
@@ -193,15 +196,6 @@ def observability_signal(
     times = np.linspace(0.0, horizon, samples)
     values = np.exp(np.outer(times, rates)) @ weights
     return SampledSignal(times, values, horizon)
-
-
-def observability_series(y: SpectralState, actuator: Actuator) -> DirichletSeries:
-    """The same sensor output as a series, composable with the vanishing test."""
-    terms = [
-        (float(coupling_coefficient(actuator, j) * y.mode(j)), decay_exponent(j))
-        for j in range(1, y.n_modes + 1)
-    ]
-    return DirichletSeries(terms)
 
 
 def project_onto_v(y: SpectralState, report) -> SpectralState:

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,17 +8,31 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from expseries.cli import _attach_endpoints, _control_from_document, build_parser, main
-from expseries.heat import Actuator, blocked_set
+from expseries.exact import ExactReal
+from expseries.heat import Actuator, blocked_set, coupling_coefficient
+
+from test_heat import overlap_is_zero
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # Two terms whose sum overflows a double for small t.
 HUGE = "[[1e308,1],[1e308,2]]"
+
+
+def cancelling_pair(a: str, b: str) -> str:
+    """y_100 = 1e-3 / beta_100 and y_101 = -1e-3 / beta_101 as a JSON state:
+    two unblocked modes whose sensor outputs cancel at t = 0."""
+    act = Actuator.from_strings(a, b)
+    coeffs = [0.0] * 101
+    coeffs[99] = 1e-3 / coupling_coefficient(act, 100)
+    coeffs[100] = -1e-3 / coupling_coefficient(act, 101)
+    return json.dumps(coeffs)
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -274,6 +290,19 @@ class TestControlCommands:
         assert code == 3
         assert "mode 4" in err
 
+    def test_unblocked_mode_with_overlap_rounding_to_zero_is_conditioning_error(self, capsys):
+        # Mode 3 is not blocked (beta_3 is about -3e-24), but its overlap
+        # rounds to 0.0 in double precision.
+        code = main(["control", "synthesize", "--target", "phi3->0", "--a", "1/3",
+                     "--b", "333333333334/1000000000000", "--T", "1", "--N", "3"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == (
+            "error: mode 3 is not blocked, but the overlap of actuator "
+            "omega=(1/3, 166666666667/500000000000) with phi_3 rounds to 0.0 "
+            "in double precision\n"
+        )
+
     def test_observability_verdict_row(self, capsys):
         code, out = run(
             capsys,
@@ -293,9 +322,52 @@ class TestControlCommands:
         assert out.strip().splitlines()[-1] == "identicallyZero,true"
 
     @pytest.mark.parametrize(
+        "a, b, y",
+        [
+            # The output peaks at 7.3e-6 between the first two nodes of a
+            # 129-node sampled test.
+            ("0", "1/10*sqrt2", cancelling_pair("0", "1/10*sqrt2")),
+            # Mode 3 is not blocked; its overlap rounds to 0.0.
+            ("1/3", "333333333334/1000000000000", "[0,0,1]"),
+            # An output far below any absolute tolerance.
+            ("0", "1", "[1e-300]"),
+        ],
+        ids=["cancelling-pair", "overlap-rounding-to-zero", "tiny-state"],
+    )
+    def test_observable_state_is_not_identically_zero(self, capsys, a, b, y):
+        code, out = run(capsys, "control", "observability", "--a", a, "--b", b, "--y", y,
+                        "--T", "1", "--no-header")
+        assert code == 0
+        assert out.splitlines()[-1] == "identicallyZero,false"
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_verdict_is_every_nonzero_coordinate_blocked(self, data):
+        den = st.integers(1, 24)
+        qa, qb = data.draw(den), data.draw(den)
+        a = Fraction(data.draw(st.integers(0, qa - 1)), qa)
+        b = Fraction(data.draw(st.integers(1, qb)), qb)
+        assume(a < b)
+        act = Actuator(ExactReal(a), ExactReal(b))
+        # Sparse states, drawn mostly on blocked modes so both verdicts occur.
+        n = data.draw(st.integers(1, 16))
+        blocked = [j for j in range(1, n + 1) if overlap_is_zero(act, j)]
+        support = data.draw(st.sets(st.sampled_from(range(1, n + 1)), max_size=2))
+        if blocked:
+            support |= data.draw(st.sets(st.sampled_from(blocked), max_size=3))
+        coeffs = [data.draw(st.sampled_from([1.0, -2.5, 1e-300])) if j in support else 0.0
+                  for j in range(1, n + 1)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["control", "observability", "--a", str(a), "--b", str(b), "--y",
+                         json.dumps(coeffs), "--T", "1", "--samples", "2", "--no-header"])
+        expected = all(overlap_is_zero(act, j) for j in support)
+        assert code == 0
+        assert out.getvalue().splitlines()[-1] == f"identicallyZero,{str(expected).lower()}"
+
+    @pytest.mark.parametrize(
         "command",
         [
-            ["observability", "--y", "phi1", "--tol", "nan"],
             ["synthesize", "--target", "phi1->0", "--N", "1", "--reg", "nan"],
         ],
     )
@@ -326,6 +398,21 @@ class TestControlCommands:
     def test_bad_exact_string_is_validation_error(self, capsys):
         code = main(["control", "analyze", "--a", "zero", "--b", "1"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "a, b, text",
+        [
+            ("1/0", "1", "1/0"),
+            ("0", "1/2+1/0*sqrt2", "1/2+1/0*sqrt2"),
+            ("0", "1/0*sqrt2", "1/0*sqrt2"),
+        ],
+        ids=["rational", "irrational-part", "irrational-only"],
+    )
+    def test_zero_denominator_is_validation_error(self, capsys, a, b, text):
+        code = main(["control", "analyze", "--a", a, "--b", b])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: cannot parse exact number: {text!r}\n"
 
     @pytest.mark.parametrize("kind", [[], ["--kind", "distributed"]])
     @pytest.mark.parametrize("jmax", [["--jmax", "-5"], ["--jmax=-5"], ["--jmax", "0"]])
@@ -360,6 +447,11 @@ SERIES_DOC = {
 }
 CONTROL_DOC = {"kind": "lumped", "T": 1.0, "exponents": [-1.0], "coeffs": [0.5]}
 SIMULATE = ["control", "simulate", "--a", "0", "--b", "1/2", "--z0", "phi1", "--steps", "4"]
+MISSING = object()  # as a value in a change, deletes the key
+
+
+def edited(base: dict, change: dict) -> dict:
+    return {key: value for key, value in {**base, **change}.items() if value is not MISSING}
 
 # Small numbers, so that a document's structure is under test and not overflow.
 json_values = st.recursive(
@@ -418,13 +510,16 @@ class TestDocumentShapes:
             ({"terms": ["1"]}, "error: 'terms' must be"),
             ({"tail": [1, 2]}, "error: 'tail' must be"),
             ({"tail": {**SERIES_DOC["tail"], "sumBound": [1]}}, "error: sumBound must be a number"),
+            ({"terms": MISSING}, "error: series document lacks 'terms'"),
+            ({"tail": {"lambdaFloor": 3}}, "error: 'tail' lacks 'sumBound'"),
+            ({"tail": {"sumBound": 0.125}}, "error: 'tail' lacks 'lambdaFloor'"),
         ],
     )
     def test_series_document_of_wrong_shape_is_validation_error(
         self, tmp_path, capsys, change, message
     ):
         path = tmp_path / "series.json"
-        path.write_text(json.dumps({**SERIES_DOC, **change}))
+        path.write_text(json.dumps(edited(SERIES_DOC, change)))
         code = main(["series", "eval", "--t", "1", "--series", str(path)])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
@@ -440,17 +535,38 @@ class TestDocumentShapes:
             ({"momentResidual": [1, 2]}, "error: momentResidual must be a number"),
             ({"gramCondition": True}, "error: gramCondition must be a number, got a bool"),
             ({"energy": math.inf}, "error: energy must be finite"),
+            ({"kind": MISSING}, "error: control document lacks 'kind'"),
+            ({"T": MISSING}, "error: control document lacks 'T'"),
+            ({"coeffs": MISSING}, "error: control document lacks 'coeffs'"),
         ],
     )
     def test_control_document_of_wrong_shape_is_validation_error(
         self, tmp_path, capsys, change, message
     ):
         path = tmp_path / "control.json"
-        path.write_text(json.dumps({**CONTROL_DOC, **change}))
+        path.write_text(json.dumps(edited(CONTROL_DOC, change)))
         code = main([*SIMULATE, "--control", str(path)])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert captured.err.startswith(message)
+
+    @pytest.mark.parametrize(
+        "document, base, command",
+        [
+            ("series", SERIES_DOC, ["series", "eval", "--t", "1", "--series"]),
+            ("control", CONTROL_DOC, [*SIMULATE, "--control"]),
+        ],
+        ids=["series", "control"],
+    )
+    def test_document_that_is_not_an_object_is_validation_error(
+        self, tmp_path, capsys, document, base, command
+    ):
+        path = tmp_path / "document.json"
+        path.write_text(json.dumps([base]))
+        code = main([*command, str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: {document} document must be a JSON object\n"
 
     def test_absent_control_diagnostics_read_as_none(self):
         control = _control_from_document(CONTROL_DOC)
@@ -563,16 +679,31 @@ class TestOptions:
              "--kind", "lumped"],
             ["control", "synthesize", "--target", "phi1->0", "--a", "0", "--b", "1",
              "--T", "1", "--N", "1", "--eps", "1e-6"],
+            ["control", "observability", "--a", "0", "--b", "1", "--y", "phi1", "--T", "1",
+             "--tol", "1e-9"],
         ],
         ids=["eval-no-header", "expand-no-header", "analyze-no-header",
              "synthesize-no-header", "simulate-kind", "simulate-T", "observability-kind",
-             "synthesize-eps"],
+             "synthesize-eps", "observability-tol"],
     )
     def test_removed_option_is_usage_error(self, capsys, argv):
         code = main(argv)
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert "unrecognized arguments" in captured.err
+
+    def test_option_count(self):
+        # Adding an option must change these numbers, in plain sight in its diff.
+        counts = {
+            " ".join(path): sum(1 for a in sub._actions if a.option_strings and a.dest != "help")
+            for path, sub in SUBCOMMANDS.items()
+        }
+        assert counts == {
+            "series eval": 4, "series expand": 5, "series remainder": 7,
+            "control analyze": 5, "control synthesize": 10, "control simulate": 8,
+            "control observability": 7,
+        }
+        assert sum(counts.values()) == 46
 
     def test_every_subcommand_has_a_readme_command(self):
         assert {tuple(argv[:2]) for argv in README_COMMANDS} == set(SUBCOMMANDS)

@@ -144,7 +144,8 @@ class TestParsing:
             assert ExactReal.parse(str(x)) == x
 
     def test_rejects_garbage(self):
-        for bad in ("", "sqrt2 + 1", "1/4 + 1/2*sqrt2 + 1/3*sqrt2", "1.2.3", "one"):
+        for bad in ("", "sqrt2 + 1", "1/4 + 1/2*sqrt2 + 1/3*sqrt2", "1.2.3", "one",
+                    "1/0", "1/00", "1/0*sqrt2", "1/2 + 1/0*sqrt2"):
             with pytest.raises(ValueError):
                 ExactReal.parse(bad)
 

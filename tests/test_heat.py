@@ -18,7 +18,6 @@ from expseries.heat import (
     distributed_controllability,
     eigenvalue,
     mode_energy,
-    overlap,
 )
 
 
@@ -36,6 +35,13 @@ def overlap_is_zero(actuator: Actuator, j: int) -> bool:
             if product.denominator == 1 and product.numerator % 2 == 0:
                 return True
     return False
+
+
+def closed_form_overlap(act: Actuator, j: int) -> float:
+    """beta_j = sqrt(2) (cos(j pi a) - cos(j pi b)) / (j pi) in floating point,
+    with no exact snapping: the float side of the float-versus-exact checks."""
+    fa, fb = act.a.to_float(), act.b.to_float()
+    return math.sqrt(2) * (math.cos(j * math.pi * fa) - math.cos(j * math.pi * fb)) / (j * math.pi)
 
 
 def quad_overlap(act: Actuator, j: int) -> float:
@@ -81,23 +87,23 @@ class TestSpectrum:
 class TestOverlap:
     def test_full_domain_mode_one(self):
         act = Actuator.from_strings("0", "1")
-        value = overlap(act, 1)
+        value = coupling_coefficient(act, 1)
         assert value == pytest.approx(2 * math.sqrt(2) / math.pi, rel=1e-15)
         assert value == pytest.approx(quad_overlap(act, 1), abs=1e-12)
 
     def test_half_domain_mode_four_vanishes(self):
         act = Actuator.from_strings("0", "1/2")
-        assert overlap(act, 4) == 0.0
+        assert coupling_coefficient(act, 4) == 0.0
 
     def test_full_domain_even_modes_vanish(self):
         act = Actuator.from_strings("0", "1")
-        assert overlap(act, 2) == 0.0
+        assert coupling_coefficient(act, 2) == 0.0
 
     def test_closed_form_matches_quadrature(self, rng):
         for _ in range(20):
             act = random_rational_actuator(rng)
             for j in (1, 2, 3, 7, 13, 29, 50):
-                assert abs(overlap(act, j) - quad_overlap(act, j)) < 1e-10
+                assert abs(coupling_coefficient(act, j) - quad_overlap(act, j)) < 1e-10
 
     def test_reflection_symmetry(self, rng):
         for _ in range(5):
@@ -105,8 +111,8 @@ class TestOverlap:
             mirrored = Actuator(ExactReal(1) - act.b, ExactReal(1) - act.a)
             for j in range(1, 9):
                 sign = (-1.0) ** (j + 1)
-                assert overlap(mirrored, j) == pytest.approx(
-                    sign * overlap(act, j), abs=1e-13
+                assert coupling_coefficient(mirrored, j) == pytest.approx(
+                    sign * coupling_coefficient(act, j), abs=1e-13
                 )
 
 
@@ -134,19 +140,20 @@ class TestOverlapIsZero:
             act = random_rational_actuator(rng)
             for j in range(1, 100):
                 if overlap_is_zero(act, j):
-                    assert abs(overlap(act, j)) < 1e-12
+                    assert abs(closed_form_overlap(act, j)) < 1e-12
 
     def test_exact_and_float_agree(self, rng):
-        # Zero disagreements between the exact test and |overlap| < 1e-12.
+        # Zero disagreements between the exact test and |beta_j| < 1e-12.
         for _ in range(20):
             act = random_rational_actuator(rng)
             for j in range(1, 257):
-                assert overlap_is_zero(act, j) == (abs(overlap(act, j)) < 1e-12)
+                assert overlap_is_zero(act, j) == (abs(closed_form_overlap(act, j)) < 1e-12)
 
     def test_certified_coupling_snaps_to_zero(self):
         act = Actuator.from_strings("3/10", "7/10")
+        assert closed_form_overlap(act, 2) != 0.0
         assert coupling_coefficient(act, 2) == 0.0
-        assert coupling_coefficient(act, 1) == overlap(act, 1)
+        assert coupling_coefficient(act, 1) == closed_form_overlap(act, 1)
 
     @given(act=exact_actuators())
     def test_coupling_zero_iff_exact_overlap_zero(self, act):
