@@ -368,11 +368,12 @@ class TestControlCommands:
     @pytest.mark.parametrize(
         "command",
         [
-            ["synthesize", "--target", "phi1->0", "--N", "1", "--reg", "nan"],
+            ["observability", "--y", "phi1", "--T", "nan"],
+            ["synthesize", "--target", "phi1->0", "--N", "1", "--T", "1", "--reg", "nan"],
         ],
     )
     def test_nan_tolerance_is_validation_error(self, capsys, command):
-        code = main(["control", *command, "--a", "0", "--b", "1/2", "--T", "1"])
+        code = main(["control", *command, "--a", "0", "--b", "1/2"])
         assert code == 2
         assert "must be finite" in capsys.readouterr().err
 
