@@ -331,14 +331,8 @@ def _cmd_control_synthesize(args, argv) -> None:
     from .control import synthesize_distributed, synthesize_lumped
     actuator = _actuator(args)
     z0, z1 = _resolve_states(args)
-    if args.kind == "distributed":
-        if args.reg != 0.0:
-            raise ValueError("--reg applies only to --kind lumped")
-        control, predicted = synthesize_distributed(z0, z1, actuator, args.T, args.N)
-    else:
-        control, predicted = synthesize_lumped(
-            z0, z1, actuator, args.T, args.N, regularization=args.reg
-        )
+    synthesize = synthesize_distributed if args.kind == "distributed" else synthesize_lumped
+    control, predicted = synthesize(z0, z1, actuator, args.T, args.N, regularization=args.reg)
     doc = _control_document(control)
     doc["predictedError"] = predicted
     _emit(args, _dump_json(doc), argv, False)
@@ -364,7 +358,8 @@ def _cmd_control_observability(args, argv) -> None:
     from . import heat, simulate
     actuator = _actuator(args)
     y = _parse_state(args.y)
-    signal = simulate.observability_signal(y, actuator, args.T, args.samples)
+    with _overflow_names(f"the sensor output on [0, {args.T!r}]"):
+        signal = simulate.observability_signal(y, actuator, args.T, args.samples)
     observable = any(simulate.project_onto_v(y, heat.blocked_set(actuator, y.n_modes)).coeffs)
     footer = f"identicallyZero,{'false' if observable else 'true'}"
     _emit(args, _csv("t,value", zip(signal.times, signal.values), footer), argv, True)

@@ -1,26 +1,27 @@
 """Moment-method control synthesis for the modal heat system.
 
-A lumped control is sought as an exponential sum
-``u(s) = sum_k c_k exp(mu_k (T - s))``, the known form of the minimum-norm
-solution of the truncated moment problem. Matching the target moments
-``m_j = integral_0^T exp(mu_j (T - s)) u(s) ds`` then reduces to the linear
-system ``G c = m`` with the Gram matrix
+A control is sought as an exponential sum, the known form of the minimum-norm
+solution of the truncated moment problem: lumped, ``u(s) = sum_k c_k
+exp(mu_k (T - s))``, or distributed, ``1_omega(x) sum_k c_k exp(mu_k (T - s))
+phi_k(x)``. Matching the moments reduces to ``(W o G) c = m`` (``o`` the
+entrywise product) with the Gram matrix
 
     G_jk = integral_0^T exp((mu_j + mu_k)(T - s)) ds
          = (exp((mu_j + mu_k) T) - 1) / (mu_j + mu_k),
 
-(with the limit T on the diagonal sum zero). G is symmetric positive
-definite for distinct exponents, and its condition number grows fast with
-the mode count for heat exponents ``mu_j = -(j pi)^2``. Whether a solve can
-be trusted is therefore measured: every lumped control reports its Gram
-condition number and moment residual, an unregularized solve whose residual
-exceeds ``1e-6 * max|m|`` raises :class:`ConditioningError`, and an explicit
-Tikhonov knob is offered.
+(with the limit T on the diagonal sum zero), where ``W = 1`` and ``m_j =
+delta_j / beta_j`` for a lumped control, ``W = M``, the actuator mass matrix,
+and ``m_j = delta_j`` for a distributed one. ``W o G`` is positive definite
+(Schur product theorem), but its condition number grows fast with the mode
+count for heat exponents ``mu_j = -(j pi)^2``. So every control reports it and
+its moment residual, an unregularized solve whose residual exceeds ``1e-6 *
+max|m|`` raises :class:`ConditioningError`, and a Tikhonov knob is offered.
 
-Blocked modes (zero actuator overlap) are hard errors when their moment
-requirement is nontrivial: the caller must project the request onto the
-controllable subspace first (see :func:`expseries.simulate.project_onto_v`),
-keeping the blocked/controllable decomposition visible.
+Blocked modes of a lumped control (zero actuator overlap) are hard errors
+when their moment requirement is nontrivial: the caller must project the
+request onto the controllable subspace first (see
+:func:`expseries.simulate.project_onto_v`), keeping the blocked/controllable
+decomposition visible.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import BlockedModeError, ConditioningError
 from ._numerics import exp_integral
-from .heat import Actuator, _blocked, coupling_coefficient, eigenvalue, mode_energy
+from .heat import Actuator, _blocked, coupling_coefficient, eigenvalue, mass_matrix
 from .series import _require_finite, _require_positive
 
 
@@ -94,8 +95,8 @@ class ControlFunction:
     """A synthesized control: exponential-sum profile(s) on [0, horizon].
 
     Lumped: the scalar profile ``u(s) = sum_k coeffs[k] exp(exponents[k] (T-s))``.
-    Distributed: ``coeffs[i]`` drives mode i+1 through its own per-mode channel
-    ``u_i(s) = coeffs[i] exp(exponents[i] (T-s))``.
+    Distributed: ``u(x, s) = 1_omega(x) sum_k coeffs[k] exp(exponents[k] (T-s))
+    phi_{k+1}(x)``, so term k feeds every mode j through ``M_{j,k+1}``.
     """
 
     kind: str
@@ -144,22 +145,25 @@ def gram_matrix(exponents: Sequence[float], horizon: float) -> np.ndarray:
 
 def solve_moment_problem(
     exponents: Sequence[float], moments: Sequence[float], horizon: float,
-    regularization: float = 0.0,
+    regularization: float = 0.0, weights: np.ndarray | None = None,
 ) -> tuple[ControlFunction, np.ndarray]:
-    """Solve ``(G + regularization I) c = m``; return the control and ``G c - m``.
+    """Solve ``(W o G + regularization I) c = m``; return the control and ``W o G c - m``.
 
     ``moments[j]`` is the target moment of ``exp(exponents[j] (T - s))`` on
-    [0, horizon], the exponents in any order. The control reports the achieved
-    moment residual ``max_j |(G c - m)_j|`` and the control energy ``c' G c``.
-    At zero regularization a residual above ``1e-6 * max|m|`` raises
-    :class:`ConditioningError`: regularize or drop modes instead of trusting
-    the coefficients.
+    [0, horizon], the exponents in any order. ``weights`` W is None (all ones)
+    for a lumped control and the actuator mass matrix for a distributed one.
+    The control reports the moment residual ``max_j |(W o G c - m)_j|``, its
+    squared L2 norm ``c' (W o G) c`` as energy and the condition number of
+    ``W o G``. At zero regularization a residual above ``1e-6 * max|m|``
+    raises :class:`ConditioningError`: regularize or drop modes instead.
     """
     regularization = _require_finite(regularization, "regularization")
     if regularization < 0:
         raise ValueError("regularization must be nonnegative")
     exponents = tuple(map(float, exponents))
     gram = gram_matrix(exponents, horizon)
+    if weights is not None:
+        gram = weights * gram
     moments = np.array(moments, dtype=float)
     if not exponents or moments.shape != (len(exponents),) or not np.isfinite(moments).all():
         raise ValueError("moments must be one finite value per exponent, and exponents nonempty")
@@ -180,7 +184,7 @@ def solve_moment_problem(
             "increase regularization or drop modes"
         )
     control = ControlFunction(
-        kind="lumped",
+        kind="lumped" if weights is None else "distributed",
         horizon=float(horizon),
         exponents=exponents,
         coeffs=tuple(float(c) for c in coeffs),
@@ -196,7 +200,6 @@ def _synthesis_setup(
     z1: SpectralState,
     horizon: float,
     n_modes: int,
-    eps: float,
 ) -> tuple[float, int, list[float], float]:
     """Validate a synthesis request and return ``(horizon, n_modes, deltas,
     tail_energy)``.
@@ -209,7 +212,6 @@ def _synthesis_setup(
     n_modes = int(n_modes)
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")
-    _require_positive(eps, "eps")
     deltas = [
         z1.mode(j) - math.exp(eigenvalue(j) * horizon) * z0.mode(j)
         for j in range(1, max(n_modes, z0.n_modes, z1.n_modes) + 1)
@@ -240,7 +242,8 @@ def synthesize_lumped(
     (finite and positive) but not used; it keeps its place only because
     callers pass it by position before ``regularization``.
     """
-    horizon, n_modes, deltas, tail_energy = _synthesis_setup(z0, z1, horizon, n_modes, eps)
+    _require_positive(eps, "eps")
+    horizon, n_modes, deltas, tail_energy = _synthesis_setup(z0, z1, horizon, n_modes)
     couplings: dict[int, float] = {}
     for j in range(1, n_modes + 1):
         if _blocked(j, actuator.blocked_moduli):
@@ -281,40 +284,18 @@ def synthesize_lumped(
 
 
 def synthesize_distributed(
-    z0: SpectralState,
-    z1: SpectralState,
-    actuator: Actuator,
-    horizon: float,
-    n_modes: int,
-    eps: float = 1e-6,
+    z0: SpectralState, z1: SpectralState, actuator: Actuator, horizon: float, n_modes: int,
+    *, regularization: float = 0.0,
 ) -> tuple[ControlFunction, float]:
-    """Distributed control: per-mode channels, each retained mode hit exactly.
-
-    Mode j is driven through its own channel ``u_j(s) = d_j exp(mu_j (T-s))``
-    acting with weight ``gamma_j = integral of phi_j^2 over omega > 0``; cross
-    couplings between channels are not modeled (the simulator applies the
-    same per-mode convention). The predicted error is the tail energy of
-    target components beyond ``n_modes`` only. ``eps`` is validated but not
-    used, as in :func:`synthesize_lumped`.
+    """Distributed control of least L2(omega x (0, T)) norm steering modes
+    1..n_modes of z0 toward z1: ``(M o G + regularization I) c = delta``, M
+    the actuator mass matrix, so no mode is blocked. ``predicted_error`` is the
+    2-norm of the moment residuals and of the state change still needed beyond
+    ``n_modes``; as for a lumped control, spillover is not counted.
     """
-    horizon, n_modes, deltas, tail_energy = _synthesis_setup(z0, z1, horizon, n_modes, eps)
-    if not actuator.b.to_float() > actuator.a.to_float():
-        raise ValueError("actuator endpoints a < b are equal in double precision")
-    exponents = tuple(eigenvalue(j) for j in range(1, n_modes + 1))
-    gram = gram_matrix(exponents, horizon)
-    # The gain of mode j is gamma_j times the Gram diagonal integral of
-    # exp(2 mu_j (T - s)).
-    coeffs = [
-        deltas[j - 1] / (mode_energy(actuator, j) * gram[j - 1, j - 1])
-        for j in range(1, n_modes + 1)
-    ]
-    d = np.array(coeffs)
-    control = ControlFunction(
-        kind="distributed",
-        horizon=horizon,
-        exponents=exponents,
-        coeffs=tuple(float(c) for c in coeffs),
-        moment_residual=0.0,
-        energy=float(d @ gram @ d),
+    horizon, n_modes, deltas, tail_energy = _synthesis_setup(z0, z1, horizon, n_modes)
+    control, residuals = solve_moment_problem(
+        [eigenvalue(j) for j in range(1, n_modes + 1)], deltas[:n_modes], horizon,
+        regularization, np.array(mass_matrix(actuator, n_modes, n_modes)),
     )
-    return control, math.sqrt(tail_energy)
+    return control, math.sqrt(math.fsum(r * r for r in residuals.tolist()) + tail_energy)

@@ -17,16 +17,18 @@ mode iff I is empty (:func:`blocked_set`), iff both ``a - b`` and ``a + b``
 are irrational. For rational ``a -+ b = p/q`` in lowest terms the blocked set
 is an exact residue class: j = 0 (mod q) when p is even, j = 0 (mod 2q) when
 p is odd. A distributed (space-and-time) control reaches every mode of any
-interval (:func:`distributed_controllability`).
+interval (:func:`distributed_controllability`), its term on phi_k feeding mode
+j through the mass matrix ``M_jk = integral over omega of phi_j phi_k``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
-from .exact import ExactReal
+from .exact import _RADICANDS, ExactReal
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -114,13 +116,45 @@ def coupling_coefficient(actuator: Actuator, j: int) -> float:
     return _SQRT2 * (math.cos(j * math.pi * fa) - math.cos(j * math.pi * fb)) / (j * math.pi)
 
 
-def mode_energy(actuator: Actuator, j: int) -> float:
-    """gamma_j = integral of phi_j^2 over omega; positive for any a < b."""
-    j = _check_mode(j)
-    fa = actuator.a.to_float()
-    fb = actuator.b.to_float()
-    w = 2.0 * j * math.pi
-    return (fb - fa) - (math.sin(w * fb) - math.sin(w * fa)) / w
+def _float(x: ExactReal) -> float:
+    """x as a double. A square-root-tagged ``r + s sqrt(N)`` whose parts cancel
+    keeps a few ulps as ``(r^2 - s^2 N) / (r - s sqrt(N))``; pi tags do not."""
+    if x.tag in _RADICANDS and x.rat * x.irr < 0:
+        conjugate = ExactReal(x.rat, -x.irr, x.tag).to_float()
+        return float(x.rat**2 - x.irr**2 * _RADICANDS[x.tag]) / conjugate
+    return x.to_float()
+
+
+def _sin_pi(x: ExactReal, scale: Fraction, shift: Fraction = Fraction(0)) -> float:
+    """sin(pi y), y = scale x + shift, after y's nearest integer is taken off exactly."""
+    y = ExactReal(x.rat * scale + shift, x.irr * scale, x.tag)
+    n = round(y.to_float())
+    return (-1) ** n * math.sin(math.pi * _float(y - n))
+
+
+def mass_matrix(actuator: Actuator, rows: int, cols: int) -> list[list[float]]:
+    """M_jk = integral of phi_j phi_k over omega for j <= rows, k <= cols, in
+    product forms free of cancellation: ``M_jk = C(j - k) - C(j + k)`` with
+    ``C(m) = integral of cos(m pi x) over omega = 2 cos(m pi (a + b)/2)
+    sin(m pi (b - a)/2) / (m pi)`` off the diagonal, and on it ``gamma_j =
+    ((h - sin h) + 2 sin^2(c/2) sin h) / (j pi) > 0`` with ``h = j pi (b - a)``,
+    ``c = j pi (a + b)`` and eight Taylor terms of ``h - sin h`` below 1/2."""
+    width, centre, half = actuator.b - actuator.a, actuator.a + actuator.b, Fraction(1, 2)
+    cos_integral = [0.0] + [
+        2.0 * _sin_pi(centre, m * half, half) * _sin_pi(width, m * half) / (m * math.pi)
+        for m in range(1, rows + cols + 1)
+    ]
+
+    def entry(j: int, k: int) -> float:
+        if j != k:
+            return cos_integral[abs(j - k)] - cos_integral[j + k]
+        h, sin_h = j * math.pi * _float(width), _sin_pi(width, Fraction(j))
+        rest = h - sin_h if h >= 0.5 else math.fsum(
+            (-1) ** (n + 1) * h ** (2 * n + 1) / math.factorial(2 * n + 1) for n in range(1, 9)
+        )
+        return (rest + 2.0 * _sin_pi(centre, j * half) ** 2 * sin_h) / (j * math.pi)
+
+    return [[entry(j, k) for k in range(1, cols + 1)] for j in range(1, rows + 1)]
 
 
 @dataclass(frozen=True)

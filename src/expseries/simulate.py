@@ -3,13 +3,15 @@
 States are propagated mode by mode through the variation-of-constants
 formula
 
-    z_j(t) = exp(mu_j t) z_j(0) + beta_j * integral_0^t exp(mu_j (t-s)) u(s) ds,
+    z_j(t) = exp(mu_j t) z_j(0) + sum_k W_jk integral_0^t exp(mu_j (t-s)) u_k(s) ds,
 
-with ``beta_j`` the actuator overlap (exactly zero on blocked modes). The
-system is diagonal in the eigenbasis, so no mesh is involved: for
-exponential-sum controls the convolution is evaluated in closed form, which
-makes this an independent, quadrature-free verification path for the moment
-synthesis. Arbitrary callable controls advance by the exact step recursion
+where the input map W carries control term k to mode j: ``W_jk = beta_j``,
+the actuator overlap (exactly zero on blocked modes), for a lumped control and
+the actuator mass matrix ``M_jk`` for a distributed one. The system is
+diagonal in the eigenbasis, so no mesh is involved: for exponential-sum
+controls the convolution is evaluated in closed form, which makes this an
+independent, quadrature-free verification path for the moment synthesis.
+Arbitrary callable controls advance by the exact step recursion
 
     F_k = exp(mu h_k) F_{k-1} + beta * integral_{t_{k-1}}^{t_k} exp(mu (t_k-s)) u(s) ds,
 
@@ -18,8 +20,6 @@ mode at once: each call of ``u`` serves the panels of all steps in a round,
 in blocks of bounded size. Every node value must be finite (``ValueError``
 otherwise); a panel that misses the tolerance at the depth limit, and a step
 that runs out of its panel budget, each emit a ``RuntimeWarning``.
-Distributed controls drive each mode through its own channel with weight
-``gamma_j`` (the per-mode convention shared with the synthesizer).
 The sensor output sampled by :func:`observability_signal` vanishes
 identically iff :func:`project_onto_v` zeroes every coordinate of ``y``
 (the uniqueness principle), so observability is decided exactly.
@@ -34,7 +34,7 @@ import numpy as np
 
 from ._numerics import adaptive_gauss_legendre, exp_integral_grid
 from .control import ControlFunction, SpectralState
-from .heat import Actuator, coupling_coefficient, eigenvalue, mode_energy
+from .heat import Actuator, coupling_coefficient, eigenvalue, mass_matrix
 from .series import _require_positive
 from .uniqueness import SampledSignal
 
@@ -112,24 +112,14 @@ def propagate(
             raise ValueError(
                 f"control horizon {control.horizon} does not match simulation horizon {horizon}"
             )
-        # Each term reaches the modes in ``cols`` with the given weights:
-        # lumped term k every mode through beta, distributed term i only
-        # mode i+1 through gamma_{i+1}.
+        k = len(control.coeffs)
         if control.kind == "lumped":
-            channels = [(slice(None), _couplings(actuator, n))] * len(control.coeffs)
+            weights = np.outer(_couplings(actuator, n), np.ones(k))
         else:
-            if len(control.coeffs) > n:
-                raise ValueError(
-                    f"distributed control drives {len(control.coeffs)} modes "
-                    f"but the state carries only {n}"
-                )
-            channels = [
-                (slice(i, i + 1), np.array([mode_energy(actuator, i + 1)]))
-                for i in range(len(control.coeffs))
-            ]
-        for (cols, weights), nu, c in zip(channels, control.exponents, control.coeffs):
-            conv = exp_integral_grid(rates[cols] + nu, times)
-            states[:, cols] += weights * c * np.exp(nu * (horizon - times))[:, None] * conv
+            weights = np.array(mass_matrix(actuator, n, k))
+        for column, nu, c in zip(weights.T, control.exponents, control.coeffs):
+            conv = exp_integral_grid(rates + nu, times)
+            states += column * c * np.exp(nu * (horizon - times))[:, None] * conv
     elif callable(control):
         u = _vectorized(control)
         integrals = adaptive_gauss_legendre(

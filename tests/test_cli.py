@@ -340,6 +340,19 @@ class TestControlCommands:
         assert code == 0
         assert out.splitlines()[-1] == "identicallyZero,false"
 
+    def test_overflowing_sensor_output_is_domain_error(self):
+        # Each term is finite; their sum at t = 0 is not.
+        result = subprocess.run(
+            [sys.executable, "-m", "expseries.cli", "control", "observability", "--a", "0",
+             "--b", "1", "--y", "[1.7e308,0,1.7e308]", "--T", "1", "--samples", "2"],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (
+            3, "", "error: the sensor output on [0, 1.0] overflows a double\n"
+        )
+
     @settings(deadline=None)
     @given(data=st.data())
     def test_verdict_is_every_nonzero_coordinate_blocked(self, data):
@@ -449,6 +462,7 @@ SERIES_DOC = {
 CONTROL_DOC = {"kind": "lumped", "T": 1.0, "exponents": [-1.0], "coeffs": [0.5]}
 SIMULATE = ["control", "simulate", "--a", "0", "--b", "1/2", "--z0", "phi1", "--steps", "4"]
 MISSING = object()  # as a value in a change, deletes the key
+DOCUMENT = ""  # as a field of ``mutated``, the whole document
 
 
 def edited(base: dict, change: dict) -> dict:
@@ -467,33 +481,42 @@ json_values = st.recursive(
 )
 
 
-def mutated(base: dict, fields, data) -> dict:
-    """``base`` with random JSON values for a nonempty subset of ``fields``.
+def mutated(base: dict, fields, data):
+    """``base`` with each field of a nonempty subset of ``fields`` deleted or
+    given a random JSON value; ``kind`` also draws the two control classes.
 
+    The field ``DOCUMENT`` replaces the whole document with a non-object.
     ``sumBound`` and ``lambdaFloor`` sit inside ``tail``, so they must come
-    before ``tail``.
+    before ``tail``, and ``DOCUMENT`` comes last.
     """
     doc = json.loads(json.dumps(base))
     chosen = data.draw(st.sets(st.sampled_from(fields), min_size=1))
     for field in (f for f in fields if f in chosen):
-        if field in ("sumBound", "lambdaFloor"):
-            doc["tail"][field] = data.draw(json_values)
+        if field == DOCUMENT:
+            return data.draw(json_values.filter(lambda value: not isinstance(value, dict)))
+        values = json_values | st.just(MISSING)
+        if field == "kind":
+            values = st.sampled_from(["lumped", "distributed"]) | values
+        parent = doc["tail"] if field in ("sumBound", "lambdaFloor") else doc
+        value = data.draw(values)
+        if value is MISSING:
+            del parent[field]
         else:
-            doc[field] = data.draw(json_values)
+            parent[field] = value
     return doc
 
 
 class TestDocumentShapes:
     @given(data=st.data())
     def test_random_series_fields_never_escape_main(self, tmp_path_factory, data):
-        doc = mutated(SERIES_DOC, ("sumBound", "lambdaFloor", "terms", "tail"), data)
+        doc = mutated(SERIES_DOC, ("sumBound", "lambdaFloor", "terms", "tail", DOCUMENT), data)
         path = tmp_path_factory.mktemp("series") / "series.json"
         path.write_text(json.dumps(doc))
         assert main(["series", "eval", "--t", "1", "--series", str(path)]) in (0, 2, 3)
 
     @given(data=st.data())
     def test_random_control_fields_never_escape_main(self, tmp_path_factory, data):
-        doc = mutated(CONTROL_DOC, ("T", "exponents", "coeffs"), data)
+        doc = mutated(CONTROL_DOC, ("kind", "T", "exponents", "coeffs", DOCUMENT), data)
         path = tmp_path_factory.mktemp("control") / "control.json"
         path.write_text(json.dumps(doc))
         assert main([*SIMULATE, "--control", str(path)]) in (0, 2, 3)
@@ -580,14 +603,17 @@ class TestDocumentShapes:
         )
         assert (code, json.loads(out)["jMax"]) == (0, expected)
 
-    def test_distributed_synthesis_takes_no_regularization(self, capsys):
+    def test_distributed_synthesis_takes_regularization(self, capsys):
         argv = ["control", "synthesize", "--kind", "distributed", "--a", "3/10", "--b", "7/10",
                 "--T", "1", "--N", "2", "--target", "phi1->0"]
-        assert run(capsys, *argv, "--reg", "0")[0] == 0
-        code = main([*argv, "--reg", "5"])
-        captured = capsys.readouterr()
-        assert (code, captured.out) == (2, "")
-        assert captured.err == "error: --reg applies only to --kind lumped\n"
+        code, plain = run(capsys, *argv)
+        assert (code, run(capsys, *argv, "--reg", "0")) == (0, (0, plain))
+        code, damped = run(capsys, *argv, "--reg", "5")
+        assert code == 0 and damped != plain
+        plain, damped = json.loads(plain), json.loads(damped)
+        assert damped["energy"] < plain["energy"]
+        assert damped["momentResidual"] > plain["momentResidual"]
+        assert damped["gramCondition"] == plain["gramCondition"]
 
     def test_narrow_distributed_actuator_is_controllable(self, capsys):
         code, out = run(

@@ -3,8 +3,9 @@ import math
 from dataclasses import fields
 from fractions import Fraction
 
+import mpmath
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
 from expseries.cli import main
@@ -17,7 +18,7 @@ from expseries.heat import (
     decay_exponent,
     distributed_controllability,
     eigenvalue,
-    mode_energy,
+    mass_matrix,
 )
 
 
@@ -73,6 +74,77 @@ def exact_actuators(draw) -> Actuator:
     a, b = endpoint(), endpoint()
     assume(ExactReal(0) <= a < b <= 1)
     return Actuator(a, b)
+
+
+@st.composite
+def narrow_actuators(draw) -> Actuator:
+    """One endpoint p/q + c*sqrt(N), the other within 1e-3 to 1e-15 of it: at
+    a rational distance, or at a rational approximant (an irrational width)."""
+    tag = draw(st.sampled_from(["sqrt2", "sqrt3", "sqrt5"]))
+    rat = draw(st.fractions(min_value=0, max_value=1, max_denominator=24))
+    irr = draw(st.fractions(min_value=-0.25, max_value=0.25, max_denominator=12))
+    anchor = ExactReal(rat, irr, tag)
+    assume(ExactReal(0) < anchor < 1)
+    digits = draw(st.integers(3, 15))
+    if draw(st.booleans()):
+        other = anchor + Fraction(draw(st.integers(-9, 9)), 10**digits)
+    else:
+        other = ExactReal(Fraction(anchor.to_float()).limit_denominator(10**digits))
+    assume(other != anchor and ExactReal(0) <= other <= 1)
+    return Actuator(*sorted((anchor, other)))
+
+
+def mp_value(x: ExactReal) -> mpmath.mpf:
+    value = mpmath.mpf(x.rat.numerator) / x.rat.denominator
+    if x.irr:
+        value += mpmath.mpf(x.irr.numerator) / x.irr.denominator * mpmath.sqrt(int(x.tag[4:]))
+    return value
+
+
+def mp_mass_matrix(act: Actuator, n: int) -> tuple[mpmath.mpf, list[list[mpmath.mpf]]]:
+    """The width b - a and M_jk = C(j - k) - C(j + k), C(m) = integral of
+    cos(m pi x) over omega, at the working precision of mpmath."""
+    a, b = mp_value(act.a), mp_value(act.b)
+
+    def cos_integral(m: int) -> mpmath.mpf:
+        if m == 0:
+            return b - a
+        return (mpmath.sin(m * mpmath.pi * b) - mpmath.sin(m * mpmath.pi * a)) / (m * mpmath.pi)
+
+    return b - a, [
+        [cos_integral(abs(j - k)) - cos_integral(j + k) for k in range(1, n + 1)]
+        for j in range(1, n + 1)
+    ]
+
+
+class TestMassMatrix:
+    @settings(max_examples=60, deadline=None)
+    @given(act=st.one_of(exact_actuators(), narrow_actuators()))
+    def test_matches_mpmath(self, act):
+        computed = mass_matrix(act, 32, 32)
+        with mpmath.workdps(80):
+            width, oracle = mp_mass_matrix(act, 32)
+            for j in range(32):
+                assert abs(oracle[j][j] - computed[j][j]) <= 1e-13 * oracle[j][j], (j + 1, act)
+                for k in range(32):
+                    assert abs(oracle[j][k] - computed[j][k]) <= 1e-14 * width, (j + 1, k + 1, act)
+
+    def test_narrow_mode_energy_keeps_its_sign(self):
+        # (b - a) - (sin 2 pi j b - sin 2 pi j a) / (2 pi j) cancels to -2.39e-17 here.
+        act = Actuator.from_strings("1/2", "5000001/10000000")
+        gamma2 = mass_matrix(act, 2, 2)[1][1]
+        with mpmath.workdps(60):
+            oracle = mp_mass_matrix(act, 2)[1][1][1]
+            assert abs(gamma2 - oracle) <= 1e-14 * oracle
+        assert gamma2 == pytest.approx(2.6318945e-20, rel=1e-7)
+
+    def test_rectangular_blocks_agree(self):
+        act = Actuator.from_strings("1/5+1/10*sqrt2", "7/10")
+        square = mass_matrix(act, 6, 6)
+        assert mass_matrix(act, 2, 6) == square[:2]
+        assert mass_matrix(act, 6, 2) == [row[:2] for row in square]
+        assert mass_matrix(act, 3, 0) == [[], [], []]
+        assert all(square[j][k] == square[k][j] for j in range(6) for k in range(6))
 
 
 class TestSpectrum:
@@ -210,7 +282,7 @@ class TestDistributed:
         report = distributed_controllability(act)
         assert report.verdict == "controllable"
         # Positivity witness, quadrature-verified.
-        gamma1 = mode_energy(act, 1)
+        gamma1 = mass_matrix(act, 1, 1)[0][0]
         oracle, _ = quad(lambda x: 2.0 * math.sin(math.pi * x) ** 2, 0.3, 0.7)
         assert gamma1 == pytest.approx(oracle, abs=1e-12)
         assert gamma1 == pytest.approx(0.7027306914562627, abs=1e-12)
@@ -235,8 +307,9 @@ class TestDistributed:
     def test_mode_energy_positive_everywhere(self, rng):
         for _ in range(10):
             act = random_rational_actuator(rng)
-            for j in range(1, 12):
-                assert mode_energy(act, j) > 0
+            gammas = mass_matrix(act, 11, 11)
+            for j in range(11):
+                assert gammas[j][j] > 0
 
 
 class TestActuator:
