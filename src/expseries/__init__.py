@@ -35,7 +35,7 @@ class BlockedModeError(Exception):
 
 
 class ConditioningError(Exception):
-    """A moment solve too ill conditioned to trust, or an unblocked overlap that rounds to 0."""
+    """A moment solve too ill conditioned to trust, or an unblocked overlap that underflows."""
 
 
 # The names each module exports; __getattr__ imports the module on first use.

@@ -21,7 +21,8 @@ Blocked modes of a lumped control (zero actuator overlap) are hard errors
 when their moment requirement is nontrivial: the caller must project the
 request onto the controllable subspace first (see
 :func:`expseries.simulate.project_onto_v`), keeping the blocked/controllable
-decomposition visible.
+decomposition visible. Every other ``beta_j`` is accurate to a few ulps
+relative, however narrow the actuator; only one that underflows is refused.
 """
 
 from __future__ import annotations
@@ -233,7 +234,7 @@ def synthesize_lumped(
     Blocked modes (exact zero overlap) with a nontrivial moment requirement
     raise :class:`BlockedModeError`; blocked modes whose requirement is
     already met by free decay are skipped. An unblocked mode whose overlap
-    rounds to 0.0 raises :class:`ConditioningError`. The returned
+    underflows to 0.0 raises :class:`ConditioningError`. The returned
     ``predicted_error`` is the 2-norm of the terminal miss that the moment
     residuals ``r_j`` imply on the retained modes (``beta_j r_j``) together
     with the state change still needed beyond ``n_modes``. It does not count

@@ -5,8 +5,8 @@
 closed under addition and subtraction, and rationality is decidable exactly:
 the value is rational if and only if the irrational coefficient is zero. Signs,
 and with them ``<`` and ``<=``, are decided exactly for the square roots and
-through a rational enclosure for ``pi``. That is all the actuator endpoint
-tests require, so no general algebraic-number machinery is built.
+through an enclosure of width 2**-256 for ``pi``. That is all the actuator
+endpoint tests require, so no general algebraic-number machinery is built.
 
 Decimal literals are parsed into exact rationals (``"0.3"`` becomes 3/10) and
 a zero denominator is refused; floats are never trusted for rationality.
@@ -23,23 +23,16 @@ from fractions import Fraction
 # (strings go through ExactReal.parse).
 RationalLike = int | Fraction
 
-# Certified enclosures: one IEEE double on each side of the true value.
-# math.sqrt and math.pi are correctly rounded, so the open interval between
-# the two neighbouring doubles contains the exact constant. ``to_float`` reads
-# the enclosures; ``sign`` reads only the one of ``pi``, as exact fractions.
-
-
-def _double_enclosure(value: float) -> tuple[float, float]:
-    return (math.nextafter(value, -math.inf), math.nextafter(value, math.inf))
-
-
-_ENCLOSURES: dict[str, tuple[float, float]] = {
-    "sqrt2": _double_enclosure(math.sqrt(2.0)),
-    "sqrt3": _double_enclosure(math.sqrt(3.0)),
-    "sqrt5": _double_enclosure(math.sqrt(5.0)),
-    "pi": _double_enclosure(math.pi),
-}
+# Each irrational constant xi as the integer X = floor(xi * 2**_SCALE_BITS), so
+# that xi lies strictly inside [X, X + 1] / 2**_SCALE_BITS. Tags are checked
+# against this table, ``sign`` reads its pi entry and ``heat`` all four.
+_SCALE_BITS = 256
 _RADICANDS = {"sqrt2": 2, "sqrt3": 3, "sqrt5": 5}
+_SCALED_CONSTANTS: dict[str, int] = {
+    **{tag: math.isqrt(n << 2 * _SCALE_BITS) for tag, n in _RADICANDS.items()},
+    # The first 64 hexadecimal digits of pi after the point.
+    "pi": 0x3_243F6A88_85A308D3_13198A2E_03707344_A4093822_299F31D0_082EFA98_EC4E6C89,
+}
 
 
 def _sign(value: Fraction) -> int:
@@ -83,7 +76,7 @@ class ExactReal:
         else:
             if self.tag is None:
                 raise ValueError("an irrational part requires a tag")
-            if self.tag not in _ENCLOSURES:
+            if self.tag not in _SCALED_CONSTANTS:
                 raise ValueError(f"unknown irrational tag {self.tag!r}")
 
     # -- constructors -------------------------------------------------
@@ -108,7 +101,7 @@ class ExactReal:
             second = -second
         return cls(first, second, match.group("tag2"))
 
-    # -- predicates and conversions ------------------------------------
+    # -- predicates ---------------------------------------------------------
 
     @property
     def is_rational(self) -> bool:
@@ -119,19 +112,20 @@ class ExactReal:
 
         For ``sqrtN`` the larger of ``|rat|`` and ``|irr| * sqrt(N)`` wins,
         compared exactly as ``rat**2`` against ``irr**2 * N``. For ``pi`` the
-        value is bounded through the rational enclosure of the constant;
-        raises ``ValueError`` when that interval contains 0.
+        value is bounded through the enclosure ``[X, X + 1] / 2**256`` of the
+        constant; raises ``ValueError`` when that interval contains 0.
         """
         if self.irr == 0:
             return _sign(self.rat)
         if self.tag in _RADICANDS:
             rat_wins = self.rat * self.rat > self.irr * self.irr * _RADICANDS[self.tag]
             return _sign(self.rat) if rat_wins else _sign(self.irr)
-        ends = (self.rat + self.irr * Fraction(x) for x in _ENCLOSURES[self.tag])  # type: ignore[index]
-        low, high = sorted(ends)
-        if low > 0:
+        x = _SCALED_CONSTANTS[self.tag]  # type: ignore[index]
+        # pi lies strictly inside the enclosure, so an end at 0 decides the sign.
+        low, high = sorted(self.rat + self.irr * Fraction(e, 1 << _SCALE_BITS) for e in (x, x + 1))
+        if low >= 0:
             return 1
-        if high < 0:
+        if high <= 0:
             return -1
         raise ValueError(f"the sign of {self} is not decided by the enclosure of {self.tag}")
 
@@ -140,16 +134,6 @@ class ExactReal:
 
     def __le__(self, other: object) -> bool:
         return (self - self._coerce(other)).sign() <= 0
-
-    def to_float(self) -> float:
-        """The value as a double: the midpoint of its enclosure through the
-        neighbouring doubles of its irrational constant."""
-        base = float(self.rat)
-        if self.irr == 0:
-            return base
-        low, high = _ENCLOSURES[self.tag]  # type: ignore[index]
-        coeff = float(self.irr)
-        return 0.5 * ((base + coeff * low) + (base + coeff * high))
 
     # -- arithmetic -----------------------------------------------------
 

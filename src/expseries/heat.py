@@ -4,31 +4,33 @@ Eigenpairs: ``phi_j(x) = sqrt(2) sin(j pi x)`` with eigenvalue
 ``mu_j = -(j pi)^2`` (decay exponent ``lambda_j = (j pi)^2``). An interval
 actuator ``omega = (a, b)`` couples to mode j through the overlap
 
-    beta_j = integral over omega of phi_j = sqrt(2) (cos(j pi a) - cos(j pi b)) / (j pi),
+    beta_j = integral over omega of phi_j = sqrt(2) (cos(j pi a) - cos(j pi b)) / (j pi)
+           = 2 sqrt(2) sin(j pi (a + b)/2) sin(j pi (b - a)/2) / (j pi),
 
-which vanishes exactly when ``j (a - b)`` or ``j (a + b)`` is an even
+which vanishes exactly when ``j (b - a)`` or ``j (a + b)`` is an even
 integer. With exact endpoints (:class:`expseries.exact.ExactReal`) that
 condition is decidable with no tolerance, which yields the exact blocked set
 
     I = { j : beta_j = 0 }
 
 and the controllability verdict. A lumped (time-only) control reaches every
-mode iff I is empty (:func:`blocked_set`), iff both ``a - b`` and ``a + b``
-are irrational. For rational ``a -+ b = p/q`` in lowest terms the blocked set
+mode iff I is empty (:func:`blocked_set`), iff both ``b - a`` and ``a + b``
+are irrational. For rational ``b -+ a = p/q`` in lowest terms the blocked set
 is an exact residue class: j = 0 (mod q) when p is even, j = 0 (mod 2q) when
 p is odd. A distributed (space-and-time) control reaches every mode of any
 interval (:func:`distributed_controllability`), its term on phi_k feeding mode
-j through the mass matrix ``M_jk = integral over omega of phi_j phi_k``.
+j through the mass matrix ``M_jk = integral over omega of phi_j phi_k``. Each
+sine in beta_j and M has its argument reduced exactly (:func:`_reduced_sine`):
+narrow actuators keep their relative accuracy, and blocked modes get 0.0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
-from .exact import _RADICANDS, ExactReal
+from .exact import _SCALE_BITS, _SCALED_CONSTANTS, ExactReal
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -81,10 +83,18 @@ class Actuator:
         return f"omega=({self.a}, {self.b})"
 
     @cached_property
+    def a_plus_b(self) -> ExactReal:
+        return self.a + self.b
+
+    @cached_property
+    def b_minus_a(self) -> ExactReal:
+        return self.b - self.a
+
+    @cached_property
     def blocked_moduli(self) -> tuple[int, ...]:
         """The coarsest moduli m with beta_j = 0 iff some m divides j (see the module docstring)."""
         moduli = set()
-        for combination in (self.a - self.b, self.a + self.b):
+        for combination in (self.b_minus_a, self.a_plus_b):
             if combination.is_rational:
                 p, q = combination.rat.numerator, combination.rat.denominator
                 moduli.add(q if p % 2 == 0 else 2 * q)
@@ -101,35 +111,33 @@ def _blocked(j: int, moduli: tuple[int, ...]) -> bool:
     return any(j % m == 0 for m in moduli)
 
 
+def _reduced_sine(x: ExactReal, m: int, k: int = 0) -> tuple[float, float]:
+    """``sin(pi y)`` and ``y`` for ``y = (m x + k) / 2``, split as ``n + d`` (n the
+    nearest integer) in integers, with d one correctly rounded division, so
+    ``sin(pi y) = (-1)^n sin(pi d)``. A tagged x reads its constant as
+    ``floor(xi 2**256) / 2**256``; an integer y gives ``d = 0.0`` exactly."""
+    p, q = x.rat.numerator, x.rat.denominator
+    num, den = m * p + k * q, 2 * q
+    if x.tag is not None:
+        r, s = x.irr.numerator, x.irr.denominator
+        num = (num * s << _SCALE_BITS) + m * r * q * _SCALED_CONSTANTS[x.tag]
+        den = den * s << _SCALE_BITS
+    n = (2 * num + den) // (2 * den)
+    d = (num - n * den) / den
+    sine = math.sin(math.pi * d)
+    return (-sine if n % 2 else sine), n + d
+
+
 def coupling_coefficient(actuator: Actuator, j: int) -> float:
-    """beta_j = integral of phi_j over omega, in closed form (floating point).
-
-    Blocked modes are decided exactly and get exactly 0.0: the closed form
-    can leave them at a few ulps. An unblocked mode of a narrow actuator can
-    also round to 0.0; only :attr:`Actuator.blocked_moduli` tells them apart.
-    """
+    """beta_j = integral of phi_j over omega in product form (module docstring),
+    to a few ulps relative. A blocked mode has an exact ``sin(0)`` factor and
+    gets +0.0; so does an unblocked overlap that underflows, which only
+    :attr:`Actuator.blocked_moduli` tells apart."""
     j = _check_mode(j)
-    if _blocked(j, actuator.blocked_moduli):
-        return 0.0
-    fa = actuator.a.to_float()
-    fb = actuator.b.to_float()
-    return _SQRT2 * (math.cos(j * math.pi * fa) - math.cos(j * math.pi * fb)) / (j * math.pi)
-
-
-def _float(x: ExactReal) -> float:
-    """x as a double. A square-root-tagged ``r + s sqrt(N)`` whose parts cancel
-    keeps a few ulps as ``(r^2 - s^2 N) / (r - s sqrt(N))``; pi tags do not."""
-    if x.tag in _RADICANDS and x.rat * x.irr < 0:
-        conjugate = ExactReal(x.rat, -x.irr, x.tag).to_float()
-        return float(x.rat**2 - x.irr**2 * _RADICANDS[x.tag]) / conjugate
-    return x.to_float()
-
-
-def _sin_pi(x: ExactReal, scale: Fraction, shift: Fraction = Fraction(0)) -> float:
-    """sin(pi y), y = scale x + shift, after y's nearest integer is taken off exactly."""
-    y = ExactReal(x.rat * scale + shift, x.irr * scale, x.tag)
-    n = round(y.to_float())
-    return (-1) ** n * math.sin(math.pi * _float(y - n))
+    sin_sum, _ = _reduced_sine(actuator.a_plus_b, j)
+    sin_width, _ = _reduced_sine(actuator.b_minus_a, j)
+    # `or 0.0` turns the -0.0 of a blocked mode into +0.0.
+    return 2.0 * _SQRT2 * sin_sum * sin_width / (j * math.pi) or 0.0
 
 
 def mass_matrix(actuator: Actuator, rows: int, cols: int) -> list[list[float]]:
@@ -138,21 +146,23 @@ def mass_matrix(actuator: Actuator, rows: int, cols: int) -> list[list[float]]:
     ``C(m) = integral of cos(m pi x) over omega = 2 cos(m pi (a + b)/2)
     sin(m pi (b - a)/2) / (m pi)`` off the diagonal, and on it ``gamma_j =
     ((h - sin h) + 2 sin^2(c/2) sin h) / (j pi) > 0`` with ``h = j pi (b - a)``,
-    ``c = j pi (a + b)`` and eight Taylor terms of ``h - sin h`` below 1/2."""
-    width, centre, half = actuator.b - actuator.a, actuator.a + actuator.b, Fraction(1, 2)
+    ``c = j pi (a + b)`` and eight Taylor terms of ``h - sin h`` below 1/2.
+    Every sine, and h, comes from :func:`_reduced_sine`."""
+    width, ends = actuator.b_minus_a, actuator.a_plus_b
     cos_integral = [0.0] + [
-        2.0 * _sin_pi(centre, m * half, half) * _sin_pi(width, m * half) / (m * math.pi)
+        2.0 * _reduced_sine(ends, m, 1)[0] * _reduced_sine(width, m)[0] / (m * math.pi)
         for m in range(1, rows + cols + 1)
     ]
 
     def entry(j: int, k: int) -> float:
         if j != k:
             return cos_integral[abs(j - k)] - cos_integral[j + k]
-        h, sin_h = j * math.pi * _float(width), _sin_pi(width, Fraction(j))
+        sin_h, turns = _reduced_sine(width, 2 * j)
+        h = math.pi * turns
         rest = h - sin_h if h >= 0.5 else math.fsum(
             (-1) ** (n + 1) * h ** (2 * n + 1) / math.factorial(2 * n + 1) for n in range(1, 9)
         )
-        return (rest + 2.0 * _sin_pi(centre, j * half) ** 2 * sin_h) / (j * math.pi)
+        return (rest + 2.0 * _reduced_sine(ends, j)[0] ** 2 * sin_h) / (j * math.pi)
 
     return [[entry(j, k) for k in range(1, cols + 1)] for j in range(1, rows + 1)]
 

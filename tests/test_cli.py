@@ -15,8 +15,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from expseries.cli import _attach_endpoints, _control_from_document, build_parser, main
+from expseries.control import SpectralState
 from expseries.exact import ExactReal
 from expseries.heat import Actuator, blocked_set, coupling_coefficient
+from expseries.simulate import propagate
 
 from test_heat import overlap_is_zero
 
@@ -201,6 +203,12 @@ class TestControlCommands:
         assert code == 0
         assert json.loads(out)["verdict"] == "controllable"
 
+    def test_analyze_endpoints_closer_than_a_double_with_pi(self, capsys):
+        # pi - 3 exceeds 0.141592653589793 by 2.4e-16.
+        code, out = run(capsys, "control", "analyze", "--a", "0.141592653589793", "--b=-3+1*pi")
+        assert code == 0
+        assert json.loads(out)["verdict"] == "controllable"
+
     @pytest.mark.parametrize(
         "command", [["analyze"], ["observability", "--y", "phi1", "--T", "1", "--samples", "3"]]
     )
@@ -291,17 +299,29 @@ class TestControlCommands:
         assert "mode 4" in err
 
     def test_unblocked_mode_with_overlap_rounding_to_zero_is_conditioning_error(self, capsys):
-        # Mode 3 is not blocked (beta_3 is about -3e-24), but its overlap
-        # rounds to 0.0 in double precision.
-        code = main(["control", "synthesize", "--target", "phi3->0", "--a", "1/3",
-                     "--b", "333333333334/1000000000000", "--T", "1", "--N", "3"])
+        # Mode 1 is not blocked, but omega is 1e-400 wide: its overlap
+        # underflows to 0.0 in double precision.
+        tiny = "1/1" + "0" * 400
+        code = main(["control", "synthesize", "--target", "phi3->0", "--a", "0",
+                     "--b", tiny, "--T", "1", "--N", "3"])
         captured = capsys.readouterr()
         assert (code, captured.out) == (3, "")
         assert captured.err == (
-            "error: mode 3 is not blocked, but the overlap of actuator "
-            "omega=(1/3, 166666666667/500000000000) with phi_3 rounds to 0.0 "
-            "in double precision\n"
+            f"error: mode 1 is not blocked, but the overlap of actuator "
+            f"omega=(0, {tiny}) with phi_1 rounds to 0.0 in double precision\n"
         )
+
+    def test_narrow_unblocked_mode_is_steered(self, capsys):
+        # beta_3 is about -2.96e-24: tiny, but a double like any other.
+        a, b = "1/3", "333333333334/1000000000000"
+        code, out = run(capsys, "control", "synthesize", "--target", "phi3->0",
+                        "--a", a, "--b", b, "--T", "1", "--N", "3")
+        assert code == 0
+        control = _control_from_document(json.loads(out))
+        trajectory = propagate(SpectralState((0.0, 0.0, 1.0)), control,
+                               Actuator.from_strings(a, b), 1.0)
+        # Free decay alone leaves exp(-9 pi^2) = 3.6e-39 in mode 3.
+        assert abs(trajectory.states[-1][2]) <= 1e-12 * math.exp(-9 * math.pi**2)
 
     def test_observability_verdict_row(self, capsys):
         code, out = run(
@@ -327,7 +347,7 @@ class TestControlCommands:
             # The output peaks at 7.3e-6 between the first two nodes of a
             # 129-node sampled test.
             ("0", "1/10*sqrt2", cancelling_pair("0", "1/10*sqrt2")),
-            # Mode 3 is not blocked; its overlap rounds to 0.0.
+            # Mode 3 is not blocked; its overlap is about -2.96e-24.
             ("1/3", "333333333334/1000000000000", "[0,0,1]"),
             # An output far below any absolute tolerance.
             ("0", "1", "[1e-300]"),

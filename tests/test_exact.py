@@ -5,7 +5,7 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-from expseries.exact import ExactReal
+from expseries.exact import _SCALE_BITS, _SCALED_CONSTANTS, ExactReal
 
 
 class TestArithmetic:
@@ -56,29 +56,17 @@ class TestArithmetic:
 
 
 class TestConversion:
-    def test_to_float_rational(self):
-        assert ExactReal.parse("3/10").to_float() == pytest.approx(0.3, abs=1e-17)
-
-    def test_to_float_irrational(self):
-        x = ExactReal.parse("1 + 1*sqrt2")
-        assert x.to_float() == pytest.approx(1.0 + math.sqrt(2.0), abs=1e-15)
-
-    def test_zero(self):
-        assert ExactReal(0).to_float() == 0.0
-
     def test_enclosure_ordering(self):
         small = ExactReal.parse("1/2*sqrt2")
         large = ExactReal.parse("3/4 + 1/2*sqrt2")
         assert small < large and small <= large
         assert not large < small and not large <= small
-        assert small.to_float() < large.to_float()
 
     def test_negative_coefficient_enclosure(self):
         # -1/2 < 1 - sqrt2 < -2/5, since 1.4 < sqrt2 < 1.5.
         x = ExactReal.parse("1 - 1*sqrt2")
         assert x.sign() == -1
         assert ExactReal.parse("-1/2") < x < ExactReal.parse("-2/5")
-        assert x.to_float() == pytest.approx(1 - math.sqrt(2), abs=1e-15)
 
 
 class TestOrder:
@@ -86,7 +74,6 @@ class TestOrder:
         # 131836323**2 - 2 * 93222358**2 = 1, so sqrt2 - 1 falls short of
         # 38613965/93222358 by about 4e-17, below the spacing of doubles there.
         gap = ExactReal.parse("-1+1*sqrt2") - ExactReal.parse("38613965/93222358")
-        assert gap.to_float() == 0.0
         assert gap.sign() == -1
         assert (-gap).sign() == 1
         assert ExactReal(0).sign() == 0
@@ -116,13 +103,29 @@ class TestOrder:
         assert (ExactReal.parse("1*pi") - ExactReal.parse("22/7")).sign() == -1
         assert ExactReal.parse("-1*pi") < ExactReal.parse("-3")
 
+    def test_pi_sign_of_the_repro_pair(self):
+        # pi - 3 exceeds 0.141592653589793 by 2.4e-16, less than an ulp of pi.
+        x = ExactReal.parse("-3+1*pi") - ExactReal.parse("0.141592653589793")
+        assert x.sign() == 1
+        assert (-x).sign() == -1
+        assert ExactReal(-Fraction(math.pi), Fraction(1), "pi").sign() == 1
+
     def test_pi_sign_raises_when_undecided(self):
-        # pi - fl(pi) is about 1.2e-16: the enclosure of pi straddles fl(pi).
-        x = ExactReal(-Fraction(math.pi), Fraction(1), "pi")
+        # The midpoint of the enclosure [X, X + 1] / 2**256 of pi is within
+        # 2**-257 of pi, and the enclosure cannot tell on which side.
+        midpoint = Fraction(2 * _SCALED_CONSTANTS["pi"] + 1, 2**257)
+        x = ExactReal(-midpoint, Fraction(1), "pi")
         with pytest.raises(ValueError, match="not decided"):
             x.sign()
         with pytest.raises(ValueError, match="not decided"):
             x < 0
+
+    @pytest.mark.parametrize("tag", ["sqrt2", "sqrt3", "sqrt5", "pi"])
+    def test_scaled_constants_match_mpmath(self, tag):
+        with mpmath.workdps(100):
+            constant = mpmath.pi if tag == "pi" else mpmath.sqrt(int(tag[4:]))
+            assert _SCALED_CONSTANTS[tag] == int(mpmath.floor(constant * 2**_SCALE_BITS))
+        assert _SCALE_BITS == 256
 
 
 class TestParsing:

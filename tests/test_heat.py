@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from expseries.cli import main
@@ -38,15 +38,29 @@ def overlap_is_zero(actuator: Actuator, j: int) -> bool:
     return False
 
 
+def mp_value(x: ExactReal) -> mpmath.mpf:
+    value = mpmath.mpf(x.rat.numerator) / x.rat.denominator
+    if x.irr:
+        constant = mpmath.pi if x.tag == "pi" else mpmath.sqrt(int(x.tag[4:]))
+        value += mpmath.mpf(x.irr.numerator) / x.irr.denominator * constant
+    return value
+
+
+def to_float(x: ExactReal) -> float:
+    """x as a double, through 40 digits of mpmath."""
+    with mpmath.workdps(40):
+        return float(mp_value(x))
+
+
 def closed_form_overlap(act: Actuator, j: int) -> float:
     """beta_j = sqrt(2) (cos(j pi a) - cos(j pi b)) / (j pi) in floating point,
     with no exact snapping: the float side of the float-versus-exact checks."""
-    fa, fb = act.a.to_float(), act.b.to_float()
+    fa, fb = to_float(act.a), to_float(act.b)
     return math.sqrt(2) * (math.cos(j * math.pi * fa) - math.cos(j * math.pi * fb)) / (j * math.pi)
 
 
 def quad_overlap(act: Actuator, j: int) -> float:
-    fa, fb = act.a.to_float(), act.b.to_float()
+    fa, fb = to_float(act.a), to_float(act.b)
     value, _ = quad(lambda x: math.sqrt(2) * math.sin(j * math.pi * x), fa, fb)
     return value
 
@@ -62,14 +76,18 @@ def random_rational_actuator(rng, max_den: int = 50) -> Actuator:
             return Actuator(ExactReal(a), ExactReal(b))
 
 
+TAGS = ["sqrt2", "sqrt3", "sqrt5", "pi"]
+
+
 @st.composite
 def exact_actuators(draw) -> Actuator:
-    """Endpoints p/q + c*sqrt2 with c in {0, k, -k}: a - b, a + b or neither rational."""
+    """Endpoints p/q + c*xi with c in {0, k, -k}: a - b, a + b or neither rational."""
     k = draw(st.fractions(min_value=-0.25, max_value=0.25, max_denominator=12))
+    tag = draw(st.sampled_from(TAGS))
 
     def endpoint() -> ExactReal:
         rat = draw(st.fractions(min_value=0, max_value=1, max_denominator=24))
-        return ExactReal(rat, draw(st.sampled_from([Fraction(0), k, -k])), "sqrt2")
+        return ExactReal(rat, draw(st.sampled_from([Fraction(0), k, -k])), tag)
 
     a, b = endpoint(), endpoint()
     assume(ExactReal(0) <= a < b <= 1)
@@ -78,9 +96,9 @@ def exact_actuators(draw) -> Actuator:
 
 @st.composite
 def narrow_actuators(draw) -> Actuator:
-    """One endpoint p/q + c*sqrt(N), the other within 1e-3 to 1e-15 of it: at
-    a rational distance, or at a rational approximant (an irrational width)."""
-    tag = draw(st.sampled_from(["sqrt2", "sqrt3", "sqrt5"]))
+    """One endpoint p/q + c*xi, the other within 1e-3 to 1e-15 of it: at a
+    rational distance, or at a rational approximant (an irrational width)."""
+    tag = draw(st.sampled_from(TAGS))
     rat = draw(st.fractions(min_value=0, max_value=1, max_denominator=24))
     irr = draw(st.fractions(min_value=-0.25, max_value=0.25, max_denominator=12))
     anchor = ExactReal(rat, irr, tag)
@@ -89,16 +107,9 @@ def narrow_actuators(draw) -> Actuator:
     if draw(st.booleans()):
         other = anchor + Fraction(draw(st.integers(-9, 9)), 10**digits)
     else:
-        other = ExactReal(Fraction(anchor.to_float()).limit_denominator(10**digits))
+        other = ExactReal(Fraction(to_float(anchor)).limit_denominator(10**digits))
     assume(other != anchor and ExactReal(0) <= other <= 1)
     return Actuator(*sorted((anchor, other)))
-
-
-def mp_value(x: ExactReal) -> mpmath.mpf:
-    value = mpmath.mpf(x.rat.numerator) / x.rat.denominator
-    if x.irr:
-        value += mpmath.mpf(x.irr.numerator) / x.irr.denominator * mpmath.sqrt(int(x.tag[4:]))
-    return value
 
 
 def mp_mass_matrix(act: Actuator, n: int) -> tuple[mpmath.mpf, list[list[mpmath.mpf]]]:
@@ -128,6 +139,15 @@ class TestMassMatrix:
                 assert abs(oracle[j][j] - computed[j][j]) <= 1e-13 * oracle[j][j], (j + 1, act)
                 for k in range(32):
                     assert abs(oracle[j][k] - computed[j][k]) <= 1e-14 * width, (j + 1, k + 1, act)
+
+    def test_pi_tagged_narrow_actuator(self):
+        act = Actuator.from_strings("-3+1*pi", "1416/10000")
+        computed = mass_matrix(act, 8, 8)
+        with mpmath.workdps(60):
+            width, oracle = mp_mass_matrix(act, 8)
+            for j in range(8):
+                for k in range(8):
+                    assert abs(oracle[j][k] - computed[j][k]) <= 1e-15 * width, (j + 1, k + 1)
 
     def test_narrow_mode_energy_keeps_its_sign(self):
         # (b - a) - (sin 2 pi j b - sin 2 pi j a) / (2 pi j) cancels to -2.39e-17 here.
@@ -170,6 +190,24 @@ class TestOverlap:
     def test_full_domain_even_modes_vanish(self):
         act = Actuator.from_strings("0", "1")
         assert coupling_coefficient(act, 2) == 0.0
+
+    @settings(max_examples=80, deadline=None)
+    @given(act=st.one_of(exact_actuators(), narrow_actuators()))
+    # beta_3 = -2.96e-24, which the cosine difference rounds to 0.0.
+    @example(act=Actuator.from_strings("1/3", "333333333334/1000000000000"))
+    # beta_2 = 0 with a sin(pi) = -0.0 factor.
+    @example(act=Actuator.from_strings("3/10", "7/10"))
+    def test_matches_mpmath(self, act):
+        with mpmath.workdps(60):
+            a, b = mp_value(act.a), mp_value(act.b)
+            for j in range(1, 65):
+                beta = coupling_coefficient(act, j)
+                if overlap_is_zero(act, j):
+                    assert beta == 0.0 and math.copysign(1, beta) == 1, (j, act)
+                    continue
+                angle = j * mpmath.pi
+                oracle = mpmath.sqrt(2) * (mpmath.cos(angle * a) - mpmath.cos(angle * b)) / angle
+                assert abs(beta - oracle) <= 2e-15 * abs(oracle), (j, act)
 
     def test_closed_form_matches_quadrature(self, rng):
         for _ in range(20):
