@@ -131,14 +131,6 @@ class DirichletSeries:
     def terms(self) -> tuple[tuple[float, float], ...]:
         return tuple(zip(self.alphas.tolist(), self.lambdas.tolist()))
 
-    @cached_property
-    def sum_abs_coefficients(self) -> float:
-        """``sum_j |alpha_j|`` over explicit terms plus the certified tail sum."""
-        total = row_sums(np.abs(self.alphas)[np.newaxis])[0]
-        if self.tail is not None:
-            total += self.tail.sum_bound
-        return total
-
 
 def evaluate(series: DirichletSeries, t: float) -> SeriesValue:
     """Evaluate the sum at ``t`` with a certified bound for the omitted tail.

@@ -16,8 +16,12 @@ Summing the geometric tail with the square-root factor frozen at its largest
 value gives the fully explicit enclosure implemented here:
 
     |phi(t) - sum_{j<=n} b_j (t - tau)^j|
-        <= S0 / sqrt(2 pi (n+1)) * r^{n+1} / (1 - r),   r = |t - tau| / tau.
+        <= S0 / sqrt(2 pi (n+1)) * r^{n+1} / (1 - r) + T(t),   r = |t - tau| / tau.
 
+``b_n`` and ``S0`` cover the explicit terms only. A series' ``TailModel``
+enters once, as ``T(t) = sum_bound * exp(-lambda_floor * t)`` (the bound of
+``series.evaluate``; 0 without a tail), since ``|c e^{-lambda t}| <= |c|
+e^{-lambda_floor t}`` for every omitted term.
 The 1/(1-r) factor is kept (rather than collapsing the geometric tail to its
 first term) so the bound is rigorous, not merely an asymptotic rate.
 Coefficients are accumulated by the per-term update
@@ -33,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numerics import BLOCK_ELEMENTS, row_sums
-from .series import DirichletSeries, SeriesValue, _require_finite, _require_positive
+from .series import DirichletSeries, SeriesValue, TailModel, _tail_error
+from .series import _require_finite, _require_positive
 
 _TWO_PI = 2.0 * math.pi
 _MAX_ORDER = 10_000
@@ -43,16 +48,17 @@ _MAX_ORDER = 10_000
 class TaylorExpansion:
     """Coefficients ``b_0..b_N`` around ``center`` with certified envelopes.
 
-    ``coeff_bounds[n]`` dominates ``|b_n|`` including the contribution of any
-    certified tail, and ``sum_abs_alpha`` is the total absolute-coefficient
-    mass ``S0`` (explicit terms plus tail bound) that feeds the remainder
-    certificate.
+    ``coeffs``, ``coeff_bounds`` and ``sum_abs_alpha`` describe the explicit
+    terms alone: ``coeff_bounds[n]`` is the magnitude sum that dominates
+    ``|b_n|``, and ``sum_abs_alpha`` is their mass ``S0``. ``tail`` is the
+    series' tail model, whose bound every certificate adds once.
     """
 
     center: float
     coeffs: tuple[float, ...]
     coeff_bounds: tuple[float, ...]
     sum_abs_alpha: float
+    tail: TailModel | None
 
     def __post_init__(self) -> None:
         if self.center <= 0 or not math.isfinite(self.center):
@@ -74,15 +80,6 @@ class RemainderCertificate:
     bound: float
 
 
-def _tail_coefficient_bound(sum_bound: float, tau: float, n: int) -> float:
-    # Tail contribution to a_n: sum_bound * (n/(e tau))^n / n!, stable in logs.
-    # With no tail it is 0 even where the factor alone overflows.
-    if n == 0 or sum_bound == 0:
-        return sum_bound
-    log_term = n * (math.log(n) - 1.0 - math.log(tau)) - math.lgamma(n + 1)
-    return sum_bound * math.exp(log_term)
-
-
 def expand(series: DirichletSeries, tau: float, order: int) -> TaylorExpansion:
     """Taylor coefficients of the sum around ``tau`` up to ``order``.
 
@@ -100,7 +97,6 @@ def expand(series: DirichletSeries, tau: float, order: int) -> TaylorExpansion:
     if np.any(lams <= 0):
         raise ValueError("all exponents must be strictly positive")
 
-    tail_sum = series.tail.sum_bound if series.tail is not None else 0.0
     neg_lams = -lams
     # Row 2i holds b_n's terms and row 2i+1 their magnitudes; one row_sums
     # call sums a block of such pairs, so the whole table never exists.
@@ -117,15 +113,13 @@ def expand(series: DirichletSeries, tau: float, order: int) -> TaylorExpansion:
             np.abs(term, out=block[2 * i + 1])
         sums = row_sums(block[: 2 * (stop - start)])
         coeffs.extend(sums[0::2])
-        bounds.extend(
-            mass + _tail_coefficient_bound(tail_sum, tau, n)
-            for n, mass in zip(range(start, stop), sums[1::2])
-        )
+        bounds.extend(sums[1::2])
     return TaylorExpansion(
         center=tau,
         coeffs=tuple(coeffs),
         coeff_bounds=tuple(bounds),
-        sum_abs_alpha=series.sum_abs_coefficients,
+        sum_abs_alpha=row_sums(np.abs(series.alphas)[np.newaxis])[0],
+        tail=series.tail,
     )
 
 
@@ -137,29 +131,35 @@ def _radius_ratio(expansion: TaylorExpansion, t: float) -> float:
     return abs(t - tau) / tau
 
 
-def _remainder(s0: float, r: float, n: int) -> float:
-    # The module docstring's enclosure of the tail beyond order n.
-    return s0 / math.sqrt(_TWO_PI * (n + 1)) * r ** (n + 1) / (1.0 - r)
+def _remainder(s0: float, r: float, n: int, tail: float) -> float:
+    # The module docstring's enclosure: the envelope beyond order n, plus T(t).
+    return s0 / math.sqrt(_TWO_PI * (n + 1)) * r ** (n + 1) / (1.0 - r) + tail
 
 
 def remainder_bound(expansion: TaylorExpansion, n: int, t: float) -> RemainderCertificate:
-    """Certified bound on ``|phi(t) - sum_{j<=n} b_j (t-tau)^j``.
+    """Certified bound on ``|phi(t) - sum_{j<=n} b_j (t-tau)^j|``.
 
-    Valid for ``t`` in (0, 2*tau) and ``1 <= n <= expansion.order``; the n = 0
-    case is rejected because the factorial lower bound behind the envelope
-    starts at n = 1.
+    ``phi`` is the whole series, tail included: the bound is the envelope
+    over the explicit mass plus the tail bound at ``t``. Valid for ``t`` in
+    (0, 2*tau) and ``1 <= n <= expansion.order``; the n = 0 case is rejected
+    because the factorial lower bound behind the envelope starts at n = 1.
     """
     n = int(n)
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > expansion.order:
         raise ValueError(f"n={n} exceeds the expansion order {expansion.order}")
-    bound = _remainder(expansion.sum_abs_alpha, _radius_ratio(expansion, t), n)
+    r = _radius_ratio(expansion, t)
+    bound = _remainder(expansion.sum_abs_alpha, r, n, _tail_error(expansion.tail, t))
     return RemainderCertificate(order=n, t=float(t), bound=bound)
 
 
 def evaluate_via_expansion(expansion: TaylorExpansion, t: float) -> SeriesValue:
-    """Horner evaluation of the expansion with its remainder certificate."""
+    """Horner evaluation of the expansion with its remainder certificate.
+
+    The error bound is ``remainder_bound`` at the full order, so it covers
+    the whole series, tail included.
+    """
     if expansion.order < 1:
         raise ValueError("expansion must have order >= 1 to certify a remainder")
     cert = remainder_bound(expansion, expansion.order, t)
@@ -190,13 +190,19 @@ def partial_sums(expansion: TaylorExpansion, t: float) -> np.ndarray:
 def order_for_tolerance(expansion: TaylorExpansion, t: float, tol: float) -> int:
     """Smallest ``n >= 1`` whose certified bound at ``t`` is at most ``tol``.
 
-    Scans upward (the bounds are cheap) and raises ``ValueError`` when no
-    order up to 10,000 suffices. The result may exceed the order the
-    expansion was built with, in which case re-expand at the returned order.
+    The bound is the one ``remainder_bound`` returns, bit for bit. Raises
+    ``ValueError`` when the tail bound at ``t`` alone reaches ``tol``, which
+    no order can undercut, and otherwise scans upward (the bounds are cheap)
+    and raises when no order up to 10,000 suffices. The result may exceed
+    the order the expansion was built with, in which case re-expand at the
+    returned order.
     """
     tol = _require_positive(tol, "tol")
     r = _radius_ratio(expansion, t)
+    tail = _tail_error(expansion.tail, t)
+    if tail >= tol:
+        raise ValueError(f"the tail bound {tail!r} at t={t!r} alone reaches tolerance {tol}")
     for n in range(1, _MAX_ORDER + 1):
-        if _remainder(expansion.sum_abs_alpha, r, n) <= tol:
+        if _remainder(expansion.sum_abs_alpha, r, n, tail) <= tol:
             return n
     raise ValueError(f"no order up to {_MAX_ORDER} certifies tolerance {tol}")

@@ -81,6 +81,22 @@ class TestSeriesCommands:
         for _, _, measured, certified in rows:
             assert float(measured) <= float(certified) + 1e-14
 
+    def test_tailed_remainder_counts_the_tail(self, tmp_path, capsys):
+        # A tail term (1, 1.5) fits this model and moves the series by e^{-1.5} at t = 1.
+        path = tmp_path / "series.json"
+        path.write_text('{"terms": [[1, 1]], "tail": {"sumBound": 1, "lambdaFloor": 1}}')
+        argv = ["--series", str(path), "--t", "1"]
+        code, out = run(capsys, "series", "remainder", *argv, "--tau", "1", "--nmax", "3")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines() if line[:1].isdigit()]
+        assert [row[0] for row in rows] == ["1", "2", "3"]
+        assert all(float(certified) >= math.exp(-1.5) for *_, certified in rows)
+        code, out = run(capsys, "series", "eval", *argv)
+        assert code == 0
+        error_bound = re.search(r'"errorBound": ([^,\s}]+)', out).group(1)
+        # At t = tau the envelope is 0, so both print the same tail bound.
+        assert {certified for *_, certified in rows} == {error_bound}
+
     def test_eval_negative_t_with_tail_is_validation_error(self, tmp_path, capsys):
         doc = {
             "terms": [[0.5, 1.0]],

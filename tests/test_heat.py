@@ -96,20 +96,27 @@ def exact_actuators(draw) -> Actuator:
 
 @st.composite
 def narrow_actuators(draw) -> Actuator:
-    """One endpoint p/q + c*xi, the other within 1e-3 to 1e-15 of it: at a
+    """One endpoint p/q + c*xi, the other within 1e-3 to 1e-30 of it: at a
     rational distance, or at a rational approximant (an irrational width)."""
     tag = draw(st.sampled_from(TAGS))
     rat = draw(st.fractions(min_value=0, max_value=1, max_denominator=24))
     irr = draw(st.fractions(min_value=-0.25, max_value=0.25, max_denominator=12))
     anchor = ExactReal(rat, irr, tag)
     assume(ExactReal(0) < anchor < 1)
-    digits = draw(st.integers(3, 15))
+    digits = draw(st.integers(3, 30))
     if draw(st.booleans()):
         other = anchor + Fraction(draw(st.integers(-9, 9)), 10**digits)
     else:
         other = ExactReal(Fraction(to_float(anchor)).limit_denominator(10**digits))
     assume(other != anchor and ExactReal(0) <= other <= 1)
     return Actuator(*sorted((anchor, other)))
+
+
+def oracle_digits(act: Actuator) -> int:
+    """Working digits that leave about 40 after the cancellations of a width
+    b - a: the cosine differences lose log10(1/width) digits, and the diagonal
+    C(0) - C(2j), like a product of two small sines, twice that again."""
+    return 40 + 3 * math.ceil(-math.log10(to_float(act.b_minus_a)))
 
 
 def mp_mass_matrix(act: Actuator, n: int) -> tuple[mpmath.mpf, list[list[mpmath.mpf]]]:
@@ -133,7 +140,7 @@ class TestMassMatrix:
     @given(act=st.one_of(exact_actuators(), narrow_actuators()))
     def test_matches_mpmath(self, act):
         computed = mass_matrix(act, 32, 32)
-        with mpmath.workdps(80):
+        with mpmath.workdps(oracle_digits(act)):
             width, oracle = mp_mass_matrix(act, 32)
             for j in range(32):
                 assert abs(oracle[j][j] - computed[j][j]) <= 1e-13 * oracle[j][j], (j + 1, act)
@@ -198,7 +205,7 @@ class TestOverlap:
     # beta_2 = 0 with a sin(pi) = -0.0 factor.
     @example(act=Actuator.from_strings("3/10", "7/10"))
     def test_matches_mpmath(self, act):
-        with mpmath.workdps(60):
+        with mpmath.workdps(oracle_digits(act)):
             a, b = mp_value(act.a), mp_value(act.b)
             for j in range(1, 65):
                 beta = coupling_coefficient(act, j)

@@ -1,12 +1,13 @@
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from expseries.series import DirichletSeries, TailModel, evaluate
+from expseries.series import DirichletSeries, TailModel, _tail_error, evaluate
 from expseries.taylor import (
-    _tail_coefficient_bound,
     evaluate_via_expansion,
     expand,
     order_for_tolerance,
@@ -25,16 +26,13 @@ def geometric_series(n_terms: int = 40) -> DirichletSeries:
 
 def natural_order_rows(series: DirichletSeries, tau: float, order: int):
     """``expand``'s recurrence rows summed in increasing-exponent order."""
-    tail_sum = series.tail.sum_bound if series.tail is not None else 0.0
     term = series.alphas * np.exp(-series.lambdas * tau)
     coeffs, bounds = [], []
     for n in range(order + 1):
         if n:
             term = term * (-series.lambdas) / n
         coeffs.append(math.fsum(term.tolist()))
-        bounds.append(
-            math.fsum(np.abs(term).tolist()) + _tail_coefficient_bound(tail_sum, tau, n)
-        )
+        bounds.append(math.fsum(np.abs(term).tolist()))
     return tuple(coeffs), tuple(bounds)
 
 
@@ -113,18 +111,18 @@ class TestExpand:
                 envelope = s0 / (tau**n * math.sqrt(2.0 * math.pi * n))
                 assert exp_.coeff_bounds[n] <= envelope * (1.0 + 1e-12)
 
-    def test_tail_contribution_added(self):
+    def test_tail_enters_only_the_certificate(self):
         s_tail = geometric_series()
         s_plain = DirichletSeries(s_tail.terms)
         with_tail = expand(s_tail, 0.8, 10)
         without = expand(s_plain, 0.8, 10)
         assert with_tail.coeffs == without.coeffs
-        assert all(
-            bt >= bp for bt, bp in zip(with_tail.coeff_bounds, without.coeff_bounds)
-        )
-        assert with_tail.coeff_bounds[0] == pytest.approx(
-            without.coeff_bounds[0] + 2.0**-40
-        )
+        assert with_tail.coeff_bounds == without.coeff_bounds
+        assert with_tail.sum_abs_alpha == without.sum_abs_alpha
+        for t in (0.3, 0.8, 1.5):
+            for n in range(1, 11):
+                plain = remainder_bound(without, n, t).bound
+                assert remainder_bound(with_tail, n, t).bound == plain + _tail_error(s_tail.tail, t)
 
     def test_rejects_bad_inputs(self):
         s = DirichletSeries([(1.0, 1.0)])
@@ -136,8 +134,8 @@ class TestExpand:
             expand(DirichletSeries([(1.0, -1.0), (1.0, 1.0)]), 1.0, 3)
 
     def test_no_tail_term_where_its_factor_overflows(self):
-        # (n / (e tau))^n / n! exceeds a double at tau = 1e-4, n = 120; with no
-        # tail it multiplies a zero sum bound, so each bound is |b_n|.
+        # (n / (e tau))^n / n! exceeds a double at tau = 1e-4, n = 120, but a
+        # coefficient bound is the magnitude sum alone, so for one term it is |b_n|.
         exp_ = expand(DirichletSeries([(1.0, 1.0)]), 1e-4, 120)
         assert exp_.coeff_bounds == tuple(abs(c) for c in exp_.coeffs)
 
@@ -196,6 +194,59 @@ class TestRemainderBound:
             for n in range(1, 26):
                 measured = abs(exact_value - partials[n])
                 assert measured <= remainder_bound(exp_, n, 1.4).bound + 1e-14
+
+
+@st.composite
+def series_with_true_tail(draw):
+    """A tailed series and omitted terms ``(c_i, lambda_i)`` that its model
+    admits: ``sum |c_i| <= sum_bound`` exactly and every ``lambda_i >= lambda_floor``."""
+    lams = draw(st.lists(st.floats(0.1, 20.0), min_size=1, max_size=8, unique=True))
+    alphas = [draw(st.floats(-1.0, 1.0)) for _ in lams]
+    tail = TailModel(draw(st.floats(1e-6, 1.0)), draw(st.floats(0.1, 10.0)))
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
+    assume(sum(weights) > 0)
+    fill = draw(st.sampled_from([1.0, draw(st.floats(0.0, 1.0))]))
+    omitted = [
+        (
+            draw(st.sampled_from((-1.0, 1.0))) * tail.sum_bound * fill * w / sum(weights),
+            tail.lambda_floor * (1.0 + draw(st.sampled_from([0.0, draw(st.floats(0.0, 5.0))]))),
+        )
+        for w in weights
+    ]
+    assume(sum(Fraction(abs(c)) for c, _ in omitted) <= Fraction(tail.sum_bound))
+    return DirichletSeries(zip(alphas, lams), tail), omitted
+
+
+class TestTailedCertificates:
+    @given(
+        drawn=series_with_true_tail(),
+        tau=st.floats(0.3, 3.0),
+        x=st.sampled_from([1.0]) | st.floats(0.05, 1.95),
+        order=st.integers(1, 20),
+    )
+    def test_whole_series_within_every_certificate(self, drawn, tau, x, order):
+        s, omitted = drawn
+        t = tau * x
+        exp_ = expand(s, tau, order)
+        with mpmath.workdps(40):
+            truth = mpmath.fsum(
+                mpmath.mpf(c) * mpmath.exp(-mpmath.mpf(lam) * mpmath.mpf(t))
+                for c, lam in [*s.terms, *omitted]
+            )
+            for n, partial in enumerate(partial_sums(exp_, t)[1:], 1):
+                miss = abs(truth - mpmath.mpf(float(partial)))
+                assert miss <= remainder_bound(exp_, n, t).bound + 1e-14, n
+            result = evaluate_via_expansion(exp_, t)
+            assert abs(truth - mpmath.mpf(result.value)) <= result.error_bound + 1e-14
+
+    def test_tail_term_on_top_of_the_envelope(self):
+        # (1, 1.5) fits the model and moves the series by e^{-1.5} at t = 1.
+        s = DirichletSeries([(1.0, 1.0)], TailModel(1.0, 1.0))
+        exp_ = expand(s, 1.0, 10)
+        for n in range(1, 11):
+            assert remainder_bound(exp_, n, 1.0).bound == evaluate(s, 1.0).error_bound
+            assert remainder_bound(exp_, n, 1.0).bound >= math.exp(-1.5)
+        assert evaluate_via_expansion(exp_, 0.5).error_bound >= math.exp(-0.75)
 
 
 class TestEvaluateViaExpansion:
@@ -271,6 +322,16 @@ class TestOrderSelection:
         exp_ = expand(DirichletSeries([(1.0, 1.0)]), 1.0, 5)
         with pytest.raises(ValueError, match="no order"):
             order_for_tolerance(exp_, 1.999, 1e-300)
+
+    def test_tail_bound_alone_reaching_tolerance_raises(self):
+        s = DirichletSeries([(1.0, 1.0)], TailModel(1e-3, 1.0))
+        exp_ = expand(s, 1.0, 60)
+        tail = _tail_error(s.tail, 1.5)
+        for tol in (tail, tail / 2):
+            with pytest.raises(ValueError, match="tail bound"):
+                order_for_tolerance(exp_, 1.5, tol)
+        n = order_for_tolerance(exp_, 1.5, 2 * tail)
+        assert remainder_bound(exp_, n, 1.5).bound <= 2 * tail
 
     def test_tolerance_must_be_finite_and_positive(self):
         exp_ = expand(DirichletSeries([(1.0, 1.0)]), 1.0, 5)
