@@ -106,19 +106,15 @@ def _load_series(args) -> series.DirichletSeries:
 
 
 def _control_document(control: ControlFunction) -> dict:
-    doc: dict = {
+    return {
         "kind": control.kind,
         "T": control.horizon,
         "exponents": list(control.exponents),
         "coeffs": list(control.coeffs),
+        "momentResidual": control.moment_residual,
+        "energy": control.energy,
+        "gramCondition": control.gram_condition,
     }
-    if control.moment_residual is not None:
-        doc["momentResidual"] = control.moment_residual
-    if control.energy is not None:
-        doc["energy"] = control.energy
-    if control.gram_condition is not None:
-        doc["gramCondition"] = control.gram_condition
-    return doc
 
 
 def _numbers(doc: dict, key: str, name: str) -> tuple[float, ...]:
@@ -312,25 +308,13 @@ def _cmd_control_analyze(args, argv) -> None:
     _emit(args, _dump_json(doc), argv, False)
 
 
-def _resolve_states(args) -> tuple[SpectralState, SpectralState]:
-    if args.target:
-        if args.z0 is not None or args.z1 is not None:
-            raise ValueError("give either --target or --z0 and --z1, not both")
-        pieces = args.target.split("->")
-        if len(pieces) != 2:
-            raise ValueError("--target must look like 'phi1->0'")
-        z0 = _parse_state(pieces[0], args.N)
-        z1 = _parse_state(pieces[1], args.N)
-        return z0, z1
-    if args.z0 is None or args.z1 is None:
-        raise ValueError("provide --target or both --z0 and --z1")
-    return _parse_state(args.z0, args.N), _parse_state(args.z1, args.N)
-
-
 def _cmd_control_synthesize(args, argv) -> None:
     from .control import synthesize_distributed, synthesize_lumped
     actuator = _actuator(args)
-    z0, z1 = _resolve_states(args)
+    pieces = args.target.split("->")
+    if len(pieces) != 2:
+        raise ValueError("--target must look like 'phi1->0'")
+    z0, z1 = (_parse_state(piece, args.N) for piece in pieces)
     synthesize = synthesize_distributed if args.kind == "distributed" else synthesize_lumped
     control, predicted = synthesize(z0, z1, actuator, args.T, args.N, regularization=args.reg)
     doc = _control_document(control)
@@ -422,9 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_syn.add_argument("--T", type=float, required=True)
     p_syn.add_argument("--N", type=int, required=True)
     p_syn.add_argument("--reg", type=float, default=0.0)
-    p_syn.add_argument("--target", help="shorthand 'phi1->0'")
-    p_syn.add_argument("--z0", help="state: 0, phiN, or JSON list")
-    p_syn.add_argument("--z1", help="state: 0, phiN, or JSON list")
+    p_syn.add_argument("--target", required=True, help="states 'z0->z1', such as 'phi1->0'")
     p_syn.set_defaults(handler=_cmd_control_synthesize)
 
     p_sim = cp_sub.add_parser("simulate", parents=[csv_parent, actuator_parent])

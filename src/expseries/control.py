@@ -233,8 +233,9 @@ def synthesize_lumped(
 
     Blocked modes (exact zero overlap) with a nontrivial moment requirement
     raise :class:`BlockedModeError`; blocked modes whose requirement is
-    already met by free decay are skipped. An unblocked mode whose overlap
-    underflows to 0.0 raises :class:`ConditioningError`. The returned
+    already met by free decay are skipped. Mode 1 is never blocked (no blocked
+    modulus is 1), so a moment system is always solved. An unblocked mode whose
+    overlap underflows to 0.0 raises :class:`ConditioningError`. The returned
     ``predicted_error`` is the 2-norm of the terminal miss that the moment
     residuals ``r_j`` imply on the retained modes (``beta_j r_j``) together
     with the state change still needed beyond ``n_modes``. It does not count
@@ -261,17 +262,6 @@ def synthesize_lumped(
                 f"{actuator.describe()} with phi_{j} rounds to 0.0 in double precision"
             )
         couplings[j] = beta
-
-    if not couplings:
-        control = ControlFunction(
-            kind="lumped",
-            horizon=horizon,
-            exponents=(),
-            coeffs=(),
-            moment_residual=0.0,
-            energy=0.0,
-        )
-        return control, math.sqrt(tail_energy)
 
     control, moment_residuals = solve_moment_problem(
         [eigenvalue(j) for j in couplings],

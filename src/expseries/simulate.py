@@ -11,7 +11,7 @@ the actuator mass matrix ``M_jk`` for a distributed one. The system is
 diagonal in the eigenbasis, so no mesh is involved: for exponential-sum
 controls the convolution is evaluated in closed form, which makes this an
 independent, quadrature-free verification path for the moment synthesis.
-Arbitrary callable controls advance by the exact step recursion
+Vectorized callable controls advance by the exact step recursion
 
     F_k = exp(mu h_k) F_{k-1} + beta * integral_{t_{k-1}}^{t_k} exp(mu (t_k-s)) u(s) ds,
 
@@ -67,17 +67,6 @@ def _couplings(actuator: Actuator, n: int) -> np.ndarray:
     return np.array([coupling_coefficient(actuator, j) for j in range(1, n + 1)])
 
 
-def _vectorized(control: Callable) -> Callable[[np.ndarray], np.ndarray]:
-    probe = np.array([0.0, 1e-3])
-    try:
-        out = np.asarray(control(probe), dtype=float)
-        if out.shape == probe.shape:
-            return control
-    except Exception:
-        pass
-    return lambda s: np.array([float(control(x)) for x in np.atleast_1d(s)])
-
-
 def propagate(
     z0: SpectralState,
     control: ControlLike,
@@ -89,11 +78,12 @@ def propagate(
     """Propagate ``z0`` under ``control`` over [0, horizon] on ``steps`` intervals.
 
     ``control`` may be None (free decay), a :class:`ControlFunction`, or a
-    plain callable ``u(s)`` treated as a lumped profile. A callable is
-    integrated on every grid step and mode at once with adaptive
-    Gauss-Legendre panels (tolerance 1e-10 per panel, each call of ``u``
-    serving a round of panels), and the forced parts are carried between
-    steps by ``exp(mu h)``. ``ValueError`` is raised if ``u`` is not finite
+    plain callable ``u(s)`` treated as a lumped profile, which maps an array
+    of times to an array of the same shape. A callable is integrated on every
+    grid step and mode at once with adaptive Gauss-Legendre panels
+    (tolerance 1e-10 per panel, each call of ``u`` serving a round of
+    panels), and the forced parts are carried between steps by ``exp(mu h)``.
+    ``ValueError`` is raised if ``u`` returns another shape or is not finite
     at a quadrature node; ``RuntimeWarning`` is emitted if a panel misses the
     tolerance at the depth limit or a step spends its budget of 1000 panels.
     """
@@ -121,13 +111,12 @@ def propagate(
             conv = exp_integral_grid(rates + nu, times)
             states += column * c * np.exp(nu * (horizon - times))[:, None] * conv
     elif callable(control):
-        u = _vectorized(control)
-        integrals = adaptive_gauss_legendre(
-            lambda s, k: np.exp(np.outer(times[k + 1] - s, rates))
-            * np.asarray(u(s), dtype=float)[:, None],
-            times,
-            n,
-        )
+        def integrand(s: np.ndarray, k: np.ndarray) -> np.ndarray:
+            values = np.asarray(control(s), dtype=float)
+            if values.shape != s.shape:
+                raise ValueError(f"u maps times of shape {s.shape} to shape {values.shape}")
+            return np.exp(np.outer(times[k + 1] - s, rates)) * values[:, None]
+        integrals = adaptive_gauss_legendre(integrand, times, n)
         betas = _couplings(actuator, n)
         forced = np.zeros(n)
         for k, (decay, step) in enumerate(zip(np.exp(np.outer(np.diff(times), rates)), integrals)):
@@ -158,8 +147,9 @@ def verify_control(
 ) -> Trajectory:
     """Propagate with the mode count widened to twice the request.
 
-    Simulating more modes than the synthesis targeted exposes control
-    spillover into untargeted modes; the reported terminal error includes it.
+    Simulating 2N modes, N the larger state's mode count, exposes spillover
+    into modes N+1..2N, and the terminal error includes it; spillover beyond
+    mode 2N is not simulated, so the whole-state miss can be larger.
     """
     width = 2 * max(z0.n_modes, z1.n_modes)
     padded0 = SpectralState(z0.coeffs + (0.0,) * (width - z0.n_modes))

@@ -426,16 +426,6 @@ class TestControlCommands:
         assert code == 2
         assert "must be finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "states", [["--z0", "phi2"], ["--z1", "phi3"], ["--z0", "phi2", "--z1", "phi3"]]
-    )
-    def test_target_with_explicit_states_is_validation_error(self, capsys, states):
-        code = main(["control", "synthesize", "--target", "phi1->0", *states,
-                     "--a", "0", "--b", "1", "--T", "1", "--N", "3"])
-        captured = capsys.readouterr()
-        assert (code, captured.out) == (2, "")
-        assert captured.err == "error: give either --target or --z0 and --z1, not both\n"
-
     def test_bool_state_coefficient_is_validation_error(self, capsys):
         code = main(
             ["control", "observability", "--a", "0", "--b", "1/2", "--y", "[true, false, 1]", "--T", "1"]
@@ -744,10 +734,14 @@ class TestOptions:
              "--T", "1", "--N", "1", "--eps", "1e-6"],
             ["control", "observability", "--a", "0", "--b", "1", "--y", "phi1", "--T", "1",
              "--tol", "1e-9"],
+            ["control", "synthesize", "--target", "phi1->0", "--a", "0", "--b", "1",
+             "--T", "1", "--N", "1", "--z0", "phi1"],
+            ["control", "synthesize", "--target", "phi1->0", "--a", "0", "--b", "1",
+             "--T", "1", "--N", "1", "--z1", "0"],
         ],
         ids=["eval-no-header", "expand-no-header", "analyze-no-header",
              "synthesize-no-header", "simulate-kind", "simulate-T", "observability-kind",
-             "synthesize-eps", "observability-tol"],
+             "synthesize-eps", "observability-tol", "synthesize-z0", "synthesize-z1"],
     )
     def test_removed_option_is_usage_error(self, capsys, argv):
         code = main(argv)
@@ -763,10 +757,10 @@ class TestOptions:
         }
         assert counts == {
             "series eval": 4, "series expand": 5, "series remainder": 7,
-            "control analyze": 5, "control synthesize": 10, "control simulate": 8,
+            "control analyze": 5, "control synthesize": 8, "control simulate": 8,
             "control observability": 7,
         }
-        assert sum(counts.values()) == 46
+        assert sum(counts.values()) == 44
 
     def test_every_subcommand_has_a_readme_command(self):
         assert {tuple(argv[:2]) for argv in README_COMMANDS} == set(SUBCOMMANDS)

@@ -4,6 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 from scipy.integrate import dblquad, quad
 
 from expseries.control import (
@@ -18,6 +19,8 @@ from expseries.control import (
 )
 from expseries.cli import _control_document, _control_from_document
 from expseries.heat import Actuator, eigenvalue
+
+from test_heat import exact_actuators
 
 
 def quad_gram_entry(mu_i: float, mu_k: float, horizon: float) -> float:
@@ -234,6 +237,21 @@ class TestSynthesizeLumped:
             synthesize_lumped(
                 SpectralState.unit_mode(1), SpectralState.zero(1), act, 0.0, 1, 1e-6
             )
+
+    @settings(max_examples=60, deadline=None)
+    @given(act=exact_actuators())
+    @example(act=Actuator.from_strings("0", "1"))
+    @example(act=Actuator.from_strings("1/4", "3/4"))
+    def test_mode_one_is_never_blocked(self, act):
+        # A blocked modulus is q or 2q for b - a in (0, 1] or a + b in (0, 2);
+        # 1 would need an even integer there. So a moment system is always
+        # solved, and it always steers mode 1.
+        assert 1 not in act.blocked_moduli
+        control, _ = synthesize_lumped(
+            SpectralState.unit_mode(1, 3), SpectralState.zero(3), act, 1.0, 3, 1e-6
+        )
+        assert control.exponents[0] == eigenvalue(1)
+        assert control.gram_condition is not None
 
 
 class TestSynthesizeDistributed:

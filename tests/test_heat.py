@@ -80,18 +80,56 @@ TAGS = ["sqrt2", "sqrt3", "sqrt5", "pi"]
 
 
 @st.composite
-def exact_actuators(draw) -> Actuator:
-    """Endpoints p/q + c*xi with c in {0, k, -k}: a - b, a + b or neither rational."""
+def endpoint_pairs(draw) -> tuple[ExactReal, ExactReal]:
+    """Two sorted endpoints p/q + c*xi with c in {0, k, -k}: b - a, a + b or
+    neither rational. Each rational part is drawn in the range that keeps its
+    endpoint in [0, 1], and two endpoints with the same c get distinct ones."""
     k = draw(st.fractions(min_value=-0.25, max_value=0.25, max_denominator=12))
     tag = draw(st.sampled_from(TAGS))
+    irrs = [draw(st.sampled_from([Fraction(0), k, -k])) for _ in range(2)]
 
-    def endpoint() -> ExactReal:
-        rat = draw(st.fractions(min_value=0, max_value=1, max_denominator=24))
-        return ExactReal(rat, draw(st.sampled_from([Fraction(0), k, -k])), tag)
+    def rationals(irr: Fraction):
+        shift = to_float(ExactReal(0, irr, tag))
+        return st.fractions(
+            min_value=Fraction(math.ceil(-24 * shift), 24),
+            max_value=Fraction(math.floor(24 * (1 - shift)), 24),
+            max_denominator=24,
+        )
 
-    a, b = endpoint(), endpoint()
-    assume(ExactReal(0) <= a < b <= 1)
+    if irrs[0] == irrs[1]:
+        rats = draw(st.lists(rationals(irrs[0]), min_size=2, max_size=2, unique=True))
+    else:
+        rats = [draw(rationals(irr)) for irr in irrs]
+    a, b = sorted(ExactReal(rat, irr, tag) for rat, irr in zip(rats, irrs))
+    return a, b
+
+
+def in_order(a: ExactReal, b: ExactReal) -> bool:
+    return ExactReal(0) <= a < b <= 1
+
+
+@st.composite
+def exact_actuators(draw) -> Actuator:
+    a, b = draw(endpoint_pairs())
+    assume(in_order(a, b))
     return Actuator(a, b)
+
+
+def test_exact_actuators_keep_most_draws():
+    # Hypothesis fails a test whose strategy filters out most of its draws
+    # (the filter_too_much health check); stay well clear of that, and keep
+    # every case of which endpoint combinations are rational.
+    kept, rational = [], set()
+
+    @settings(max_examples=300, database=None, deadline=None)
+    @given(pair=endpoint_pairs())
+    def draw(pair):
+        kept.append(in_order(*pair))
+        rational.add(((pair[1] - pair[0]).is_rational, (pair[1] + pair[0]).is_rational))
+
+    draw()
+    assert sum(kept) >= 0.5 * len(kept)
+    assert rational == {(True, True), (True, False), (False, True), (False, False)}
 
 
 @st.composite

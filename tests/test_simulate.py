@@ -164,11 +164,11 @@ class TestPropagate:
         assert abs(traj.states[-1, 0] - exact) < tol
 
     def test_smooth_callable_is_integrated_once_per_step(self):
-        # The probe, one call for the whole-step panels of every step and one
-        # for all their halves; at 256 steps the halves exceed BLOCK_ELEMENTS
-        # node values and are split into blocks. The count does not grow with steps.
+        # One call for the whole-step panels of every step and one for all
+        # their halves; at 256 steps the halves exceed BLOCK_ELEMENTS node
+        # values and are split into blocks. The count does not grow with steps.
         act = Actuator.from_strings("0", "1")
-        for steps, most in ((64, 3), (256, 5)):
+        for steps, most in ((64, 2), (256, 4)):
             calls = []
 
             def u(s):
@@ -332,6 +332,16 @@ class TestPropagate:
             propagate(SpectralState.unit_mode(1), mismatched, act, 1.0)
         with pytest.raises(ValueError, match="finite"):
             propagate(SpectralState.unit_mode(1), lambda s: np.full_like(np.asarray(s), np.inf), act, 1.0)
+
+    @pytest.mark.parametrize(
+        "u, shape",
+        [(lambda s: 1.0, r"\(\)"), (lambda s: np.ones(len(s) - 1), r"\(1023,\)")],
+        ids=["scalar", "wrong-length"],
+    )
+    def test_callable_must_be_vectorized(self, u, shape):
+        act = Actuator.from_strings("0", "1")
+        with pytest.raises(ValueError, match=rf"times of shape \(1024,\) to shape {shape}"):
+            propagate(SpectralState.unit_mode(1), u, act, 1.0)
 
 
 def control_restriction_first_half(control: ControlFunction) -> ControlFunction:
