@@ -43,50 +43,54 @@ def exp_integral_grid(rates: np.ndarray, times: np.ndarray) -> np.ndarray:
 BLOCK_ELEMENTS = 16_384
 
 
-def row_sums(table: np.ndarray) -> list[float]:
-    """The correctly rounded sum of each row of a 2-D float array.
+def sum_slack(magnitude_sums: np.ndarray, n: int) -> np.ndarray:
+    """Bounds on the error of any float sum of ``n`` numbers, from float sums of their magnitudes.
 
-    Each result equals ``math.fsum(row.tolist())`` bit for bit. One pass
-    splits the whole block error-free (Rump, Ogita and Oishi, "Accurate
-    floating-point summation, part I", SIAM J. Sci. Comput. 2008): with
-    ``sigma = 2**(e + M)``, ``max|p| < 2**e`` and ``2**M >= 2n``, the high
-    parts ``q = (sigma + p) - sigma`` sum exactly to ``tau`` and
-    ``r = p - q`` is the exact rest. numpy's sum ``g`` of a row's rest errs by at
-    most ``gamma_{n-1} * sum|r|`` in any order of addition (Higham, "Accuracy and
-    Stability of Numerical Algorithms", 2nd ed., section 4.2), which the slack
-    ``E``, ``2**(M - 51)`` times the computed ``sum|r|`` rounded up, covers. When
-    ``tau + g`` rounds to the same float with ``E`` added and subtracted, that
-    float is the row's sum, because correct rounding is monotone; otherwise the
-    row's sum is ``math.fsum([tau, *r])``. Rows that are not finite, all zero,
-    or out of the exponent range where ``sigma`` is a normal float are summed
-    by ``math.fsum`` itself, so its signed zeros, ``OverflowError`` and inf/NaN
-    behaviour carry over.
+    Each is ``2**(M - 51)``, ``2**M >= 2n``, times the magnitude sum, rounded up, above
+    ``gamma_{n-1}`` times the exact one (Higham, "Accuracy and Stability...", 2nd ed., 4.2).
     """
-    table = np.asarray(table, dtype=float)
-    rows, n = table.shape
-    if n == 0:
-        return [math.fsum(())] * rows
-    extra = (2 * n - 1).bit_length()  # M, the smallest with 2**M >= 2n
-    sums: list = [None] * rows
-    largest = np.abs(table).max(axis=1)
-    exponent = np.frexp(largest)[1] + extra
+    return np.nextafter(np.ldexp(magnitude_sums, (2 * n - 1).bit_length() - 51), math.inf)
+
+
+def row_sums(magnitudes: np.ndarray, signs: np.ndarray) -> tuple[list[float], list[float]]:
+    """Each row's signed and magnitude sums, ``math.fsum``'s bit for bit, errors included.
+
+    ``magnitudes`` is nonnegative and 2-D; ``signs``, one per column, make the signed
+    rows ``copysign(magnitudes, signs)``, summed first. With ``sigma = 2**(e + M)``,
+    ``max m < 2**e`` and ``2**M >= 2n``, the high parts ``(sigma + m) - sigma`` are
+    nonnegative multiples of ``2**(e + M - 52)`` summing below ``2**(e + M)``, so one
+    matrix product sums them exactly, signed and not (Rump, Ogita and Oishi, SIAM J.
+    Sci. Comput. 2008). Their exact rests share the ``sum_slack`` of their magnitudes,
+    which settles a sum that rounds alike with it added and subtracted (rounding is
+    monotone); ``math.fsum`` adds an unsettled rest, and whole rows that are not
+    finite, all zero, or where ``sigma`` is not normal.
+    """
+    magnitudes = np.asarray(magnitudes, dtype=float)
+    rows, n = magnitudes.shape
+    signed, total = [None] * rows, [None] * rows
+    largest = magnitudes.max(axis=1, initial=0.0)  # an empty row is all zero
+    exponent = np.frexp(largest)[1] + (2 * n - 1).bit_length()  # + M
     ok = np.isfinite(largest) & (largest > 0) & (exponent >= -1022) & (exponent <= 1023)
     live = np.flatnonzero(ok)
     for r in np.flatnonzero(~ok).tolist():
-        sums[r] = math.fsum(table[r].tolist())
+        signed[r] = math.fsum(np.copysign(magnitudes[r], signs).tolist())
+        total[r] = math.fsum(magnitudes[r].tolist())
     if len(live) < rows:
-        table, exponent = table[live], exponent[live]
+        magnitudes, exponent = magnitudes[live], exponent[live]
+    weights = np.stack((np.copysign(1.0, signs), np.ones(n))).T
     sigma = np.ldexp(1.0, exponent)[:, None]
-    high = sigma + table
+    high = sigma + magnitudes
     high -= sigma
-    rest = table - high
-    taus = high.sum(axis=1).tolist()
-    naive = rest.sum(axis=1).tolist()
-    slack = np.nextafter(np.ldexp(np.abs(rest).sum(axis=1), extra - 51), math.inf).tolist()
-    for i, (r, tau, g, err) in enumerate(zip(live.tolist(), taus, naive, slack)):
-        low = math.fsum((tau, g, -err))
-        sums[r] = low if low == math.fsum((tau, g, err)) else math.fsum([tau, *rest[i].tolist()])
-    return sums
+    rest = magnitudes - high
+    taus, naive = (high @ weights).tolist(), (rest @ weights).tolist()
+    slack = sum_slack(np.abs(rest).sum(axis=1), n).tolist()
+    for i, r in enumerate(live.tolist()):
+        for sums, column, units in ((signed, 0, weights[:, 0]), (total, 1, 1.0)):
+            tau, g = taus[i][column], naive[i][column]
+            sums[r] = math.fsum((tau, g, -slack[i]))
+            if sums[r] != math.fsum((tau, g, slack[i])):
+                sums[r] = math.fsum([tau, *(rest[i] * units).tolist()])
+    return signed, total
 
 
 _GL_TOL = 1e-10

@@ -144,8 +144,17 @@ def evaluate(series: DirichletSeries, t: float) -> SeriesValue:
     t = _require_finite(t, "t")
     if series.tail is not None and t < 0:
         raise ValueError("t < 0 with certified tail (tail bound holds for t >= 0 only)")
-    value = row_sums((series.alphas * np.exp(-series.lambdas * t))[np.newaxis])[0]
+    magnitudes = np.abs(series.alphas) * np.exp(-series.lambdas * t)
+    value = _signed_sums(magnitudes[np.newaxis], series.alphas)[0]
     return SeriesValue(value, _tail_error(series.tail, t))
+
+
+def _signed_sums(magnitudes: np.ndarray, alphas: np.ndarray) -> list[float]:
+    """``math.fsum`` of each row of ``copysign(magnitudes, alphas)``, errors included."""
+    try:
+        return row_sums(magnitudes, alphas)[0]
+    except OverflowError:  # maybe from magnitudes alone, which only row_sums sums
+        return [math.fsum(np.copysign(row, alphas).tolist()) for row in magnitudes]
 
 
 def _tail_error(tail: TailModel | None, t: float) -> float:

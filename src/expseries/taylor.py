@@ -24,9 +24,9 @@ enters once, as ``T(t) = sum_bound * exp(-lambda_floor * t)`` (the bound of
 e^{-lambda_floor t}`` for every omitted term.
 The 1/(1-r) factor is kept (rather than collapsing the geometric tail to its
 first term) so the bound is rigorous, not merely an asymptotic rate.
-Coefficients are accumulated by the per-term update
-``term <- term * (-lambda) / (n+1)``; no factorial is ever formed, so orders
-beyond 170 do not overflow.
+Only magnitudes are accumulated, as ``|term| * lambda / (n+1)``, which is
+``|term * (-lambda) / (n+1)|`` bit for bit, and ``b_n`` is ``(-1)^n`` times their
+sum signed by ``alpha``. No factorial is formed, so orders beyond 170 do not overflow.
 """
 
 from __future__ import annotations
@@ -85,9 +85,9 @@ def expand(series: DirichletSeries, tau: float, order: int) -> TaylorExpansion:
 
     Requires strictly positive exponents and ``tau > 0``. Each ``b_n`` and
     its magnitude sum ``sum_j |alpha_j e^{-lambda_j tau} lambda_j^n / n!|``
-    are correctly rounded sums of the recurrence's term values, computed by
-    ``_numerics.row_sums`` on blocks of rows, so the zeroth coefficient
-    reproduces ``evaluate(series, tau).value`` exactly.
+    are correctly rounded sums of the recurrence's term values: one
+    ``_numerics.row_sums`` call gives both from a block of magnitude rows and
+    ``sign(alpha)``. The zeroth coefficient is ``evaluate(series, tau).value``.
     """
     tau = _require_positive(tau, "tau")
     order = int(order)
@@ -97,28 +97,27 @@ def expand(series: DirichletSeries, tau: float, order: int) -> TaylorExpansion:
     if np.any(lams <= 0):
         raise ValueError("all exponents must be strictly positive")
 
-    neg_lams = -lams
-    # Row 2i holds b_n's terms and row 2i+1 their magnitudes; one row_sums
-    # call sums a block of such pairs, so the whole table never exists.
-    pairs = max(1, BLOCK_ELEMENTS // (2 * len(lams)))
-    block = np.empty((2 * pairs, len(lams)))
-    term = series.alphas * np.exp(-lams * tau)
+    # One row_sums call sums a block of orders, so the whole table never exists.
+    per_block = max(1, BLOCK_ELEMENTS // len(lams))
+    block, absolute = np.empty((per_block, len(lams))), np.abs(series.alphas)
+    term = np.multiply(absolute, np.exp(-lams * tau), out=block[0])
     coeffs, bounds = [], []
-    for start in range(0, order + 1, pairs):
-        stop = min(start + pairs, order + 1)
-        for i, n in enumerate(range(start, stop)):
+    for start in range(0, order + 1, per_block):
+        rows = block[: min(per_block, order + 1 - start)]
+        for n, row in enumerate(rows, start):
             if n:
-                term = term * neg_lams / n
-            block[2 * i] = term
-            np.abs(term, out=block[2 * i + 1])
-        sums = row_sums(block[: 2 * (stop - start)])
-        coeffs.extend(sums[0::2])
-        bounds.extend(sums[1::2])
+                term = np.divide(np.multiply(term, lams, out=row), n, out=row)
+        signed, magnitude = row_sums(rows, series.alphas)
+        for n, (b, row) in enumerate(zip(signed, rows), start):
+            if n % 2:  # b_n is -b, but a zero takes fsum's sign rule on the row's own signs
+                b = -b if b else math.fsum(np.copysign(row, -series.alphas).tolist())
+            coeffs.append(b)
+        bounds.extend(magnitude)
     return TaylorExpansion(
         center=tau,
         coeffs=tuple(coeffs),
         coeff_bounds=tuple(bounds),
-        sum_abs_alpha=row_sums(np.abs(series.alphas)[np.newaxis])[0],
+        sum_abs_alpha=row_sums(absolute[np.newaxis], series.alphas)[1][0],
         tail=series.tail,
     )
 

@@ -26,8 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._numerics import BLOCK_ELEMENTS, row_sums
-from .series import DirichletSeries, _require_finite, _require_positive, _tail_error
+from ._numerics import BLOCK_ELEMENTS, sum_slack
+from .series import DirichletSeries, _require_finite, _require_positive, _signed_sums, _tail_error
 
 
 class SeparationWarning(UserWarning):
@@ -114,18 +114,28 @@ def is_identically_zero(
     horizon = _require_positive(horizon, "horizon")
     tol = _require_positive(tol, "tol")
     ts = chebyshev_sample(horizon, nodes)
-    # Each node's value is the one evaluate returns; a block of nodes is
-    # summed at once, and the test stops at the first block that fails. Only
-    # a negative exponent can make a term overflow; then each node is its own
-    # block, so that no node after the first failing one is computed.
+    # Blocks of nodes are tested in order up to the first that fails. A term can overflow
+    # only with a negative exponent; then each node is a block, summed only if reached.
     per_block = 1 if series.lambdas[0] < 0 else max(1, BLOCK_ELEMENTS // len(series))
+    weights = np.stack((np.copysign(1.0, series.alphas), np.ones(len(series)))).T
     for start in range(0, len(ts), per_block):
         block = ts[start : start + per_block]
-        values = row_sums(series.alphas * np.exp(-np.multiply.outer(block, series.lambdas)))
-        for t, value in zip(block.tolist(), values):
-            # Written so that a NaN node value fails, as an infinite one does.
-            if not abs(value) + _tail_error(series.tail, t) <= tol:
-                return False
+        magnitudes = np.abs(series.alphas) * np.exp(-np.multiply.outer(block, series.lambdas))
+        tails = np.array([_tail_error(series.tail, t) for t in block.tolist()])
+        with np.errstate(over="ignore", invalid="ignore"):
+            # Shewchuk's filter: the float sum is within the slack of the exact one and
+            # rounding is monotone, so outward bounds settle most nodes without it.
+            # Below 2**1023 the magnitudes cannot overflow math.fsum.
+            naive, total = np.abs(magnitudes @ weights).T
+            slack, sure = sum_slack(total, len(series)), total < 2.0**1023
+            good = sure & (np.nextafter(naive + slack, math.inf) + tails <= tol)
+            low = np.maximum(np.nextafter(naive - slack, -math.inf), 0.0)
+            unsettled = np.flatnonzero(~good & ~(sure & (low + tails > tol)))
+            if unsettled.size:
+                values = _signed_sums(magnitudes[unsettled], series.alphas)
+                good[unsettled] = np.abs(values) + tails[unsettled] <= tol  # NaN fails
+        if not good.all():
+            return False
     return True
 
 

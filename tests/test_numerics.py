@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -59,75 +60,120 @@ rows = st.one_of(
 
 
 def fsum_or_error(row):
+    """``math.fsum(row)`` by ``hex``, or the type and message of what it raises."""
     try:
         return math.fsum(row).hex()
     except (OverflowError, ValueError) as exc:
-        return type(exc)
+        return type(exc), str(exc)
+
+
+def check_row_sums(magnitudes, signs):
+    """``row_sums`` against ``math.fsum`` of each signed row and each magnitude row.
+
+    The sums must match by ``hex``; otherwise ``row_sums`` must raise the
+    first error of the rows in order, each row's signed sum before its
+    magnitude sum.
+    """
+    magnitudes = np.asarray(magnitudes, dtype=float)
+    signed_rows = np.copysign(magnitudes, signs)
+    expected = [
+        (fsum_or_error(signed.tolist()), fsum_or_error(row.tolist()))
+        for signed, row in zip(signed_rows, magnitudes)
+    ]
+    errors = [e for pair in expected for e in pair if isinstance(e, tuple)]
+    if errors:
+        kind, message = errors[0]
+        with pytest.raises(kind) as raised:
+            row_sums(magnitudes, signs)
+        assert str(raised.value) == message
+    else:
+        signed, total = row_sums(magnitudes, signs)
+        assert [(a.hex(), b.hex()) for a, b in zip(signed, total)] == expected
 
 
 class TestRowSums:
     @given(row=rows)
     def test_one_row_equals_fsum_bit_for_bit(self, row):
-        expected = fsum_or_error(row)
-        table = np.array(row, dtype=float).reshape(1, len(row))
-        if isinstance(expected, type):
-            with pytest.raises(expected):
-                row_sums(table)
-        else:
-            assert row_sums(table)[0].hex() == expected
+        # Signed by itself, the magnitude row's signed row is the row.
+        row = np.array(row, dtype=float)
+        check_row_sums(np.abs(row).reshape(1, len(row)), row)
 
-    @given(table=st.lists(rows, min_size=1, max_size=6))
-    def test_each_row_of_a_block_equals_fsum(self, table):
+    @given(table=st.lists(rows, min_size=1, max_size=6), data=st.data())
+    def test_each_row_of_a_block_equals_fsum(self, table, data):
         width = max(len(row) for row in table)
-        padded = [row + [0.0] * (width - len(row)) for row in table]
-        expected = [fsum_or_error(row) for row in padded]
-        errors = tuple({e for e in expected if isinstance(e, type)})
-        if errors:
-            with pytest.raises(errors):
-                row_sums(np.array(padded, dtype=float))
-        else:
-            assert [s.hex() for s in row_sums(np.array(padded, dtype=float))] == expected
+        padded = np.array([row + [0.0] * (width - len(row)) for row in table], dtype=float)
+        # One sign per column, shared by the rows: the first row's or drawn.
+        signs = data.draw(
+            st.just(padded[0])
+            | st.lists(
+                st.sampled_from((1.0, -1.0, 0.0, -0.0, INF, -INF)), min_size=width, max_size=width
+            )
+        )
+        check_row_sums(np.abs(padded), np.array(signs, dtype=float))
 
     def test_empty_rows_sum_to_zero(self):
-        assert [s.hex() for s in row_sums(np.empty((3, 0)))] == [0.0.hex()] * 3
+        signed, total = row_sums(np.empty((3, 0)), np.empty(0))
+        assert [s.hex() for s in signed + total] == [0.0.hex()] * 6
 
     def test_long_rows_with_wide_spread(self):
         rng = np.random.default_rng(11)
-        table = rng.standard_normal((6, 5000)) * 10.0 ** rng.integers(-300, 300, (6, 5000))
-        table[1] = np.concatenate([table[0, :2500], -table[0, :2500]])
-        expected = [math.fsum(row.tolist()).hex() for row in table]
-        assert [s.hex() for s in row_sums(table)] == expected
+        magnitudes = np.abs(rng.standard_normal((6, 5000)))
+        magnitudes *= 10.0 ** rng.integers(-300, 300, (6, 5000))
+        signs = rng.choice([-1.0, 1.0], 5000)
+        # Row 1's second half repeats its first under the opposite signs.
+        signs[2500:] = -signs[:2500]
+        magnitudes[1, 2500:] = magnitudes[1, :2500]
+        check_row_sums(magnitudes, signs)
+        assert row_sums(magnitudes, signs)[0][1] == 0.0
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("exponent", [-900, 0, 900])
     def test_slack_covers_the_rounding_of_the_rest_sum(self, sign, exponent):
-        # After one pass the rest is [0, c, b, -c, s]; added in order, b is
-        # lost beside c and the naive sum is s, just below the tie at 2**-53,
-        # while the true sum 2**-53 + 2**-110 lies above it. Only a slack that
-        # covers b keeps this row from being decided as 1.0.
+        # After the split the signed rest is a permutation of [0, c, b, -c, s].
+        # Added left to right, b is lost beside c and the float sum is s, just
+        # below the tie at 2**-53, while the true sum 2**-53 + 2**-110 lies
+        # above it; only a slack that covers b keeps such a row from being
+        # decided as 1.0. Every order is one row, so whatever order the matrix
+        # product adds in, some rows lose b.
         c, b, s = 2.0**-50, 2.0**-106 + 2.0**-110, 2.0**-53 - 2.0**-106
         scale = sign * 2.0**exponent
-        table = scale * np.array([[1.0, c, b, -c, s]])
+        table = scale * np.array(list(itertools.permutations([1.0, c, b, -c, s])))
         expected = scale * (1.0 + 2.0**-52)
         assert math.fsum(table[0].tolist()) == expected
-        assert row_sums(table)[0].hex() == expected.hex()
+        signs = np.copysign(1.0, table[0])
+        for row in table:
+            signed, _ = row_sums(np.abs(row)[np.newaxis], row)
+            assert signed[0].hex() == expected.hex()
+        # One block, sign per column: |row| with the first row's signs.
+        check_row_sums(np.abs(table), signs)
+
+    def test_a_row_raises_its_signed_sums_error_first(self):
+        # The signed row adds opposite infinities; its magnitudes overflow first.
+        magnitudes = np.array([[1e308, 1e308, INF, INF]])
+        with pytest.raises(ValueError, match="-inf \\+ inf"):
+            row_sums(magnitudes, np.array([1.0, -1.0, 1.0, -1.0]))
+        with pytest.raises(OverflowError, match="intermediate overflow"):
+            row_sums(magnitudes, np.ones(4))
 
     def test_taylor_rows_need_no_per_row_fsum(self, monkeypatch):
-        # One block as taylor.expand builds it: rows alpha_j e^{-lambda_j}
-        # (-lambda_j)^n / n! and their magnitudes, for n = 0 .. 15.
+        # One block as taylor.expand builds it: 32 magnitude rows
+        # |alpha_j| e^{-lambda_j} lambda_j^n / n! for n = 0 .. 31, signed by alpha.
         rng = np.random.default_rng(5)
         width = BLOCK_ELEMENTS // 32
         lams = rng.uniform(0.1, 100.0, width)
         alphas = rng.choice([-1.0, 1.0], width) * rng.uniform(0.0, 1.0, width)
-        term, table = alphas * np.exp(-lams), []
-        for n in range(16):
+        term, table = np.abs(alphas) * np.exp(-lams), []
+        for n in range(32):
             if n:
-                term = term * -lams / n
-            table += [term, np.abs(term)]
+                term = term * lams / n
+            table.append(term)
         table = np.array(table)
         assert table.size == BLOCK_ELEMENTS
-        expected = [math.fsum(row.tolist()).hex() for row in table]
-        # The one-pass test sums three numbers; a row that falls back to
+        expected = [
+            (math.fsum(np.copysign(row, alphas).tolist()).hex(), math.fsum(row.tolist()).hex())
+            for row in table
+        ]
+        # Settling a sum adds three numbers; a sum that falls back to
         # math.fsum hands it the row's whole rest.
         whole_rows = 0
         fsum = math.fsum
@@ -139,7 +185,7 @@ class TestRowSums:
             return fsum(values)
 
         monkeypatch.setattr(math, "fsum", counting)
-        sums = row_sums(table)
+        signed, total = row_sums(table, alphas)
         monkeypatch.undo()
         assert whole_rows == 0
-        assert [s.hex() for s in sums] == expected
+        assert [(a.hex(), b.hex()) for a, b in zip(signed, total)] == expected

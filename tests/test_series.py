@@ -42,6 +42,14 @@ class TestEvaluate:
             s = DirichletSeries([(1.0, 1.0), (-1.0, 1.0 + delta)])
             assert evaluate(s, 0.0).value == 0.0
 
+    def test_value_where_only_the_magnitudes_overflow(self):
+        # |alpha| sums past the double range, the signed sum does not.
+        s = DirichletSeries([(1.5e308, 1.0), (-1.5e308, 1.000001), (1.5e308, 1.000002)])
+        assert evaluate(s, 0.0).value == math.fsum(s.alphas.tolist()) == 1.5e308
+        # Where the signed terms overflow too, math.fsum's error is raised.
+        with pytest.raises(OverflowError, match="intermediate overflow"):
+            evaluate(DirichletSeries([(1.5e308, 1.0), (1.5e308, 2.0)]), 0.0)
+
     def test_negative_t_allowed_without_tail(self):
         s = DirichletSeries([(1.0, -2.0)])
         assert evaluate(s, -1.0).value == pytest.approx(math.exp(-2.0))

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from expseries.series import DirichletSeries, TailModel, evaluate
+from expseries import series as series_module, uniqueness as uniqueness_module
+from expseries.series import DirichletSeries, TailModel, _tail_error, evaluate
 from expseries.uniqueness import (
     PeelResult,
     SampledSignal,
@@ -36,7 +38,108 @@ def per_node_verdict(series: DirichletSeries, horizon: float, tol: float, nodes:
     return True
 
 
+def outcome(verdict, *args):
+    """``verdict(*args)``, or the type and message of what it raises."""
+    try:
+        return verdict(*args)
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def node_values(series: DirichletSeries, horizon: float, nodes: int) -> list[float]:
+    """``|math.fsum(terms)| + tail bound`` at each node; raises what ``math.fsum`` raises."""
+    values = []
+    for t in chebyshev_sample(horizon, nodes).tolist():
+        value = math.fsum((series.alphas * np.exp(-series.lambdas * t)).tolist())
+        values.append(abs(value) + _tail_error(series.tail, t))
+    return values
+
+
+def per_node_oracle(series: DirichletSeries, horizon: float, tol: float, nodes: int) -> bool:
+    """The vanishing test node by node, each node's sum by ``math.fsum``."""
+    for t in chebyshev_sample(horizon, nodes).tolist():
+        value = math.fsum((series.alphas * np.exp(-series.lambdas * t)).tolist())
+        if not abs(value) + _tail_error(series.tail, t) <= tol:
+            return False
+    return True
+
+
+@st.composite
+def filter_series(draw):
+    """Series with positive or negative exponents, with or without a tail.
+
+    A negative exponent makes every node its own block, and terms may
+    overflow; a zero coefficient on the most negative exponent makes a NaN
+    node where its exponential overflows.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo, hi = draw(st.sampled_from(((0.1, 100.0), (-5.0, 50.0), (-900.0, 10.0))))
+    lams = np.unique(rng.uniform(lo, hi, draw(st.sampled_from((1, 3, 40, 600)))))
+    alphas = rng.standard_normal(lams.size) * 10.0 ** rng.uniform(-5.0, 5.0, lams.size)
+    if draw(st.booleans()):
+        alphas[0] = 0.0
+    tail = draw(st.none() | st.builds(TailModel, st.floats(0.0, 10.0), st.floats(0.1, 100.0)))
+    return DirichletSeries(zip(alphas.tolist(), lams.tolist()), tail)
+
+
 class TestIsIdenticallyZero:
+    @settings(deadline=None)
+    @given(
+        s=filter_series(),
+        horizon=st.floats(0.1, 3.0),
+        nodes=st.sampled_from((2, 5, 33)),
+    )
+    def test_filter_matches_per_node_fsum(self, s, horizon, nodes):
+        # At a tolerance equal to the largest node value the test passes, and
+        # one float below it fails; NaN nodes and errors must match as well.
+        with np.errstate(all="ignore"):
+            values = outcome(node_values, s, horizon, nodes)
+            finite = [v for v in values if 0 < v < math.inf] if isinstance(values, list) else []
+            top = max(finite, default=1.0)
+            for tol in (top, math.nextafter(top, 0.0), 1e-300, 1e300):
+                if tol > 0:
+                    assert outcome(is_identically_zero, s, horizon, tol, nodes) == outcome(
+                        per_node_oracle, s, horizon, tol, nodes
+                    )
+
+    def test_magnitudes_at_the_top_of_the_range_are_summed_exactly(self):
+        # The magnitudes' float sum may round to the largest double, yet
+        # math.fsum overflows, so the filter must not settle these nodes.
+        big, small = np.finfo(float).max, 2.0**969
+        for alphas in ((big, small, small), (small, small, big)):
+            s = DirichletSeries(zip(alphas, (1e-300, 2e-300, 3e-300)))
+            with np.errstate(all="ignore"):
+                verdict = outcome(is_identically_zero, s, 1.0, 1.0, 5)
+            assert verdict == outcome(per_node_oracle, s, 1.0, 1.0, 5)
+            assert verdict == (OverflowError, "intermediate overflow in fsum")
+        # Here only the magnitudes overflow; the node value is 1.5e308.
+        s = DirichletSeries([(1.5e308, 1e-300), (-1.5e308, 2e-300), (1.5e308, 3e-300)])
+        for tol in (1.0, 1.5e308):
+            verdict = is_identically_zero(s, 1.0, tol, 5)
+            assert verdict == per_node_oracle(s, 1.0, tol, 5) == (tol > 1.0)
+
+    def test_benchmark_style_tolerance_needs_no_exact_sum(self, monkeypatch):
+        # With tol = 2 * (mass + tail mass) every node passes the filter, so
+        # no node's value is correctly rounded.
+        calls = []
+        for module in (series_module, uniqueness_module):
+            if hasattr(module, "row_sums"):
+                original = module.row_sums
+                counting = lambda *args, _original=original: calls.append(1) or _original(*args)
+                monkeypatch.setattr(module, "row_sums", counting)
+        rng = np.random.default_rng(12)
+        for n_terms in (500, 2000, 8000):
+            lams = np.unique(rng.uniform(0.1, 100.0, n_terms))
+            alphas = rng.standard_normal(lams.size)
+            mass = float(rng.uniform(1.0, 8.0))
+            alphas *= mass / np.sum(np.abs(alphas))
+            tau = float(rng.uniform(0.3, 3.0))
+            for tail in (None, TailModel(mass * 1e-3, 100.0)):
+                s = DirichletSeries(zip(alphas.tolist(), lams.tolist()), tail)
+                tol = 2.0 * (mass + (tail.sum_bound if tail else 0.0))
+                assert is_identically_zero(s, 2.0 * tau, tol, nodes=33)
+        assert calls == []
+
     @pytest.mark.parametrize("tail", [None, TailModel(1e-3, 40.0)])
     def test_many_blocks_match_per_node_evaluate(self, tail):
         rng = np.random.default_rng(9)
