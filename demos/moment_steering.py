@@ -39,7 +39,7 @@ def main() -> None:
     print(f"predicted error:    {predicted:.3e}")
 
     # Simulate twice the synthesized modes so spillover is part of the error.
-    trajectory = verify_control(z0, z1, control, actuator, horizon, steps=64)
+    trajectory = verify_control(z0, z1, control, actuator, horizon)
     print(f"\nsimulated terminal error over {trajectory.n_modes} modes: "
           f"{trajectory.terminal_error:.3e}")
     print("terminal modal amplitudes:")

@@ -52,45 +52,45 @@ def sum_slack(magnitude_sums: np.ndarray, n: int) -> np.ndarray:
     return np.nextafter(np.ldexp(magnitude_sums, (2 * n - 1).bit_length() - 51), math.inf)
 
 
-def row_sums(magnitudes: np.ndarray, signs: np.ndarray) -> tuple[list[float], list[float]]:
-    """Each row's signed and magnitude sums, ``math.fsum``'s bit for bit, errors included.
+def row_sums(magnitudes: np.ndarray, weights: np.ndarray) -> list[list[float]]:
+    """The sums of each row weighted by each column of ``weights``, one list per column.
 
-    ``magnitudes`` is nonnegative and 2-D; ``signs``, one per column, make the signed
-    rows ``copysign(magnitudes, signs)``, summed first. With ``sigma = 2**(e + M)``,
+    ``magnitudes`` is nonnegative and ``(rows, n)``; ``weights`` is ``(n, k)`` of +-1.
+    Each sum is ``math.fsum`` of ``magnitudes[r] * weights[:, c]``, bit for bit, errors
+    included and raised in row-then-column order. With ``sigma = 2**(e + M)``,
     ``max m < 2**e`` and ``2**M >= 2n``, the high parts ``(sigma + m) - sigma`` are
     nonnegative multiples of ``2**(e + M - 52)`` summing below ``2**(e + M)``, so one
-    matrix product sums them exactly, signed and not (Rump, Ogita and Oishi, SIAM J.
-    Sci. Comput. 2008). Their exact rests share the ``sum_slack`` of their magnitudes,
-    which settles a sum that rounds alike with it added and subtracted (rounding is
-    monotone); ``math.fsum`` adds an unsettled rest, and whole rows that are not
-    finite, all zero, or where ``sigma`` is not normal.
+    matrix product sums them exactly under every column (Rump, Ogita and Oishi, SIAM
+    J. Sci. Comput. 2008). Their exact rests share the ``sum_slack`` of their
+    magnitudes, which settles a sum that rounds alike with it added and subtracted
+    (rounding is monotone); ``math.fsum`` adds an unsettled rest, and whole rows that
+    are not finite, all zero, or where ``sigma`` is not normal.
     """
     magnitudes = np.asarray(magnitudes, dtype=float)
     rows, n = magnitudes.shape
-    signed, total = [None] * rows, [None] * rows
+    sums = [[None] * rows for _ in range(weights.shape[1])]
     largest = magnitudes.max(axis=1, initial=0.0)  # an empty row is all zero
     exponent = np.frexp(largest)[1] + (2 * n - 1).bit_length()  # + M
     ok = np.isfinite(largest) & (largest > 0) & (exponent >= -1022) & (exponent <= 1023)
     live = np.flatnonzero(ok)
     for r in np.flatnonzero(~ok).tolist():
-        signed[r] = math.fsum(np.copysign(magnitudes[r], signs).tolist())
-        total[r] = math.fsum(magnitudes[r].tolist())
+        for column, out in enumerate(sums):
+            out[r] = math.fsum((magnitudes[r] * weights[:, column]).tolist())
     if len(live) < rows:
         magnitudes, exponent = magnitudes[live], exponent[live]
-    weights = np.stack((np.copysign(1.0, signs), np.ones(n))).T
     sigma = np.ldexp(1.0, exponent)[:, None]
     high = sigma + magnitudes
     high -= sigma
     rest = magnitudes - high
-    taus, naive = (high @ weights).tolist(), (rest @ weights).tolist()
+    taus, naive = (high @ weights).T.tolist(), (rest @ weights).T.tolist()
     slack = sum_slack(np.abs(rest).sum(axis=1), n).tolist()
-    for i, r in enumerate(live.tolist()):
-        for sums, column, units in ((signed, 0, weights[:, 0]), (total, 1, 1.0)):
-            tau, g = taus[i][column], naive[i][column]
-            sums[r] = math.fsum((tau, g, -slack[i]))
-            if sums[r] != math.fsum((tau, g, slack[i])):
-                sums[r] = math.fsum([tau, *(rest[i] * units).tolist()])
-    return signed, total
+    # A live row's magnitudes sum below 2**1023, so none of its sums raises.
+    for column, (out, column_taus, column_naive) in enumerate(zip(sums, taus, naive)):
+        for i, (r, tau, g, s) in enumerate(zip(live.tolist(), column_taus, column_naive, slack)):
+            out[r] = math.fsum((tau, g, -s))
+            if out[r] != math.fsum((tau, g, s)):
+                out[r] = math.fsum([tau, *(rest[i] * weights[:, column]).tolist()])
+    return sums
 
 
 _GL_TOL = 1e-10

@@ -327,9 +327,11 @@ def _cmd_control_simulate(args, argv) -> None:
     control = _control_from_document(json.loads(Path(args.control).read_text(encoding="utf-8")))
     z0 = _parse_state(args.z0, len(control.coeffs) or 1)
     target = _parse_state(args.z1, z0.n_modes) if args.z1 else None
-    trajectory = simulate.propagate(
-        z0, control, _actuator(args), control.horizon, steps=args.steps, target=target
-    )
+    with _overflow_names(f"the trajectory on [0, {control.horizon!r}]"):
+        trajectory = simulate.propagate(
+            z0, control, _actuator(args), control.horizon, steps=args.steps, target=target
+        )
+        _finite(*trajectory.states.flat, trajectory.terminal_error or 0.0)
     header = ",".join(["t"] + [f"z_{j}" for j in range(1, trajectory.n_modes + 1)])
     rows = ([t, *z] for t, z in zip(trajectory.times.tolist(), trajectory.states.tolist()))
     footer = []

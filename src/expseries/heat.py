@@ -45,13 +45,6 @@ def _check_mode(j: int) -> int:
     return j
 
 
-def _check_j_max(j_max: int) -> int:
-    j_max = int(j_max)
-    if j_max < 1:
-        raise ValueError("j_max must be at least 1")
-    return j_max
-
-
 def eigenvalue(j: int) -> float:
     """mu_j = -(j pi)^2, strictly decreasing in j."""
     return -((_check_mode(j) * math.pi) ** 2)
@@ -187,10 +180,11 @@ class ControllabilityReport:
         return _blocked(_check_mode(j), self.moduli)
 
 
-def blocked_set(actuator: Actuator, j_max: int = 256) -> ControllabilityReport:
-    """Enumerate I up to ``j_max`` from its exact modular characterization."""
-    j_max = _check_j_max(j_max)
-    moduli = actuator.blocked_moduli
+def _report(moduli: tuple[int, ...], j_max: int) -> ControllabilityReport:
+    """The report of the blocked set ``j % m == 0`` for some ``m`` in ``moduli``, to ``j_max``."""
+    j_max = int(j_max)
+    if j_max < 1:
+        raise ValueError("j_max must be at least 1")
     prefix = tuple(sorted({j for m in moduli for j in range(m, j_max + 1, m)}))
     if moduli:
         verdict = VERDICT_NOT_CONTROLLABLE
@@ -199,12 +193,13 @@ def blocked_set(actuator: Actuator, j_max: int = 256) -> ControllabilityReport:
         verdict = VERDICT_CONTROLLABLE
         subspace = "all modes (V = H)"
     return ControllabilityReport(
-        verdict=verdict,
-        blocked_prefix=prefix,
-        moduli=moduli,
-        j_max=j_max,
-        subspace=subspace,
+        verdict=verdict, blocked_prefix=prefix, moduli=moduli, j_max=j_max, subspace=subspace
     )
+
+
+def blocked_set(actuator: Actuator, j_max: int = 256) -> ControllabilityReport:
+    """Enumerate I up to ``j_max`` from its exact modular characterization."""
+    return _report(actuator.blocked_moduli, j_max)
 
 
 def distributed_controllability(actuator: Actuator, j_check: int = 8) -> ControllabilityReport:
@@ -214,11 +209,4 @@ def distributed_controllability(actuator: Actuator, j_check: int = 8) -> Control
     positive length, and ``Actuator`` has already decided a < b exactly.
     ``j_check >= 1`` is the mode count the report names.
     """
-    j_check = _check_j_max(j_check)
-    return ControllabilityReport(
-        verdict=VERDICT_CONTROLLABLE,
-        blocked_prefix=(),
-        moduli=(),
-        j_max=j_check,
-        subspace="all modes (V = H)",
-    )
+    return _report((), j_check)

@@ -12,9 +12,11 @@ a rigorous bound on the omitted tail contribution, so downstream consumers
 
 Terms are stored as read-only arrays sorted by strictly increasing exponent;
 duplicate exponents are rejected at construction.
-Sums over terms are correctly rounded by ``_numerics.row_sums``, which
-returns what ``math.fsum`` returns, bit for bit, so the order in which terms
-are added does not change them.
+Every sum over terms weighs a row of magnitudes, such as ``|alpha_j|
+e^{-lambda_j t}``, by a column of the series' ``weights``: ``sign(alpha)`` for a
+signed sum, 1 for a magnitude sum. ``_numerics.row_sums`` rounds each sum
+correctly, returning what ``math.fsum`` returns, bit for bit, so the order in
+which terms are added does not change them.
 """
 
 from __future__ import annotations
@@ -81,7 +83,8 @@ class DirichletSeries:
     """A finite exponential sum ``sum_j alpha_j exp(-lambda_j t)``.
 
     ``alphas`` and ``lambdas`` are read-only arrays sorted by strictly
-    increasing exponent, and ``terms`` derives its float pairs from them; an
+    increasing exponent; ``terms`` derives its float pairs from them, and
+    ``weights`` its read-only ``(n, 2)`` columns ``sign(alpha)`` and 1. An
     optional ``tail`` certifies everything beyond the explicit terms.
     Instances are immutable and safe to share across threads; copies and
     pickles are rebuilt through the constructor.
@@ -131,6 +134,12 @@ class DirichletSeries:
     def terms(self) -> tuple[tuple[float, float], ...]:
         return tuple(zip(self.alphas.tolist(), self.lambdas.tolist()))
 
+    @cached_property
+    def weights(self) -> np.ndarray:
+        weights = np.array((np.copysign(1.0, self.alphas), np.ones(len(self)))).T
+        weights.flags.writeable = False
+        return weights
+
 
 def evaluate(series: DirichletSeries, t: float) -> SeriesValue:
     """Evaluate the sum at ``t`` with a certified bound for the omitted tail.
@@ -145,16 +154,8 @@ def evaluate(series: DirichletSeries, t: float) -> SeriesValue:
     if series.tail is not None and t < 0:
         raise ValueError("t < 0 with certified tail (tail bound holds for t >= 0 only)")
     magnitudes = np.abs(series.alphas) * np.exp(-series.lambdas * t)
-    value = _signed_sums(magnitudes[np.newaxis], series.alphas)[0]
+    value = row_sums(magnitudes[np.newaxis], series.weights[:, :1])[0][0]
     return SeriesValue(value, _tail_error(series.tail, t))
-
-
-def _signed_sums(magnitudes: np.ndarray, alphas: np.ndarray) -> list[float]:
-    """``math.fsum`` of each row of ``copysign(magnitudes, alphas)``, errors included."""
-    try:
-        return row_sums(magnitudes, alphas)[0]
-    except OverflowError:  # maybe from magnitudes alone, which only row_sums sums
-        return [math.fsum(np.copysign(row, alphas).tolist()) for row in magnitudes]
 
 
 def _tail_error(tail: TailModel | None, t: float) -> float:

@@ -143,9 +143,8 @@ def verify_control(
     control: ControlLike,
     actuator: Actuator,
     horizon: float,
-    steps: int = 64,
 ) -> Trajectory:
-    """Propagate with the mode count widened to twice the request.
+    """Propagate on the 64-step grid with the mode count widened to twice the request.
 
     Simulating 2N modes, N the larger state's mode count, exposes spillover
     into modes N+1..2N, and the terminal error includes it; spillover beyond
@@ -154,7 +153,7 @@ def verify_control(
     width = 2 * max(z0.n_modes, z1.n_modes)
     padded0 = SpectralState(z0.coeffs + (0.0,) * (width - z0.n_modes))
     padded1 = SpectralState(z1.coeffs + (0.0,) * (width - z1.n_modes))
-    return propagate(padded0, control, actuator, horizon, steps=steps, target=padded1)
+    return propagate(padded0, control, actuator, horizon, steps=64, target=padded1)
 
 
 def observability_signal(

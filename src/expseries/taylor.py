@@ -87,7 +87,8 @@ def expand(series: DirichletSeries, tau: float, order: int) -> TaylorExpansion:
     its magnitude sum ``sum_j |alpha_j e^{-lambda_j tau} lambda_j^n / n!|``
     are correctly rounded sums of the recurrence's term values: one
     ``_numerics.row_sums`` call gives both from a block of magnitude rows and
-    ``sign(alpha)``. The zeroth coefficient is ``evaluate(series, tau).value``.
+    the series' two ``weights`` columns, and ``S0`` is the ones column's sum
+    of ``|alpha|``. The zeroth coefficient is ``evaluate(series, tau).value``.
     """
     tau = _require_positive(tau, "tau")
     order = int(order)
@@ -107,7 +108,7 @@ def expand(series: DirichletSeries, tau: float, order: int) -> TaylorExpansion:
         for n, row in enumerate(rows, start):
             if n:
                 term = np.divide(np.multiply(term, lams, out=row), n, out=row)
-        signed, magnitude = row_sums(rows, series.alphas)
+        signed, magnitude = row_sums(rows, series.weights)
         for n, (b, row) in enumerate(zip(signed, rows), start):
             if n % 2:  # b_n is -b, but a zero takes fsum's sign rule on the row's own signs
                 b = -b if b else math.fsum(np.copysign(row, -series.alphas).tolist())
@@ -117,7 +118,7 @@ def expand(series: DirichletSeries, tau: float, order: int) -> TaylorExpansion:
         center=tau,
         coeffs=tuple(coeffs),
         coeff_bounds=tuple(bounds),
-        sum_abs_alpha=row_sums(absolute[np.newaxis], series.alphas)[1][0],
+        sum_abs_alpha=row_sums(absolute[np.newaxis], series.weights[:, 1:])[0][0],
         tail=series.tail,
     )
 

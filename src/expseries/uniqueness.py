@@ -26,8 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._numerics import BLOCK_ELEMENTS, sum_slack
-from .series import DirichletSeries, _require_finite, _require_positive, _signed_sums, _tail_error
+from ._numerics import BLOCK_ELEMENTS, row_sums, sum_slack
+from .series import DirichletSeries, _require_finite, _require_positive, _tail_error
 
 
 class SeparationWarning(UserWarning):
@@ -117,7 +117,6 @@ def is_identically_zero(
     # Blocks of nodes are tested in order up to the first that fails. A term can overflow
     # only with a negative exponent; then each node is a block, summed only if reached.
     per_block = 1 if series.lambdas[0] < 0 else max(1, BLOCK_ELEMENTS // len(series))
-    weights = np.stack((np.copysign(1.0, series.alphas), np.ones(len(series)))).T
     for start in range(0, len(ts), per_block):
         block = ts[start : start + per_block]
         magnitudes = np.abs(series.alphas) * np.exp(-np.multiply.outer(block, series.lambdas))
@@ -126,13 +125,13 @@ def is_identically_zero(
             # Shewchuk's filter: the float sum is within the slack of the exact one and
             # rounding is monotone, so outward bounds settle most nodes without it.
             # Below 2**1023 the magnitudes cannot overflow math.fsum.
-            naive, total = np.abs(magnitudes @ weights).T
+            naive, total = np.abs(magnitudes @ series.weights).T
             slack, sure = sum_slack(total, len(series)), total < 2.0**1023
             good = sure & (np.nextafter(naive + slack, math.inf) + tails <= tol)
             low = np.maximum(np.nextafter(naive - slack, -math.inf), 0.0)
             unsettled = np.flatnonzero(~good & ~(sure & (low + tails > tol)))
             if unsettled.size:
-                values = _signed_sums(magnitudes[unsettled], series.alphas)
+                values = row_sums(magnitudes[unsettled], series.weights[:, :1])[0]
                 good[unsettled] = np.abs(values) + tails[unsettled] <= tol  # NaN fails
         if not good.all():
             return False

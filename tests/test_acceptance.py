@@ -177,7 +177,7 @@ def test_criterion_08_moment_method_steering():
     control, predicted = synthesize_lumped(
         project_onto_v(z0, rep), project_onto_v(z1, rep), act, 1.0, 6, 1e-6
     )
-    trajectory = verify_control(z0, z1, control, act, 1.0, steps=64)
+    trajectory = verify_control(z0, z1, control, act, 1.0)
     assert trajectory.n_modes == 12
     assert trajectory.terminal_error < 1e-6
     assert control.gram_condition is not None

@@ -389,6 +389,24 @@ class TestControlCommands:
             3, "", "error: the sensor output on [0, 1.0] overflows a double\n"
         )
 
+    def test_overflowing_trajectory_is_domain_error(self, tmp_path):
+        # e^{nu (T - t)} with nu = 1000 overflows, and the states become inf and NaN.
+        control = tmp_path / "c.json"
+        control.write_text('{"kind":"lumped","T":1,"exponents":[1e3],"coeffs":[1e300]}')
+        out = tmp_path / "sim.csv"
+        result = subprocess.run(
+            [sys.executable, "-m", "expseries.cli", "control", "simulate", "--control",
+             str(control), "--a", "0", "--b", "1", "--z0", "phi1", "--z1", "0", "--steps", "16",
+             "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (
+            3, "", "error: the trajectory on [0, 1.0] overflows a double\n"
+        )
+        assert not out.exists()
+
     @settings(deadline=None)
     @given(data=st.data())
     def test_verdict_is_every_nonzero_coordinate_blocked(self, data):

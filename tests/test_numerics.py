@@ -67,28 +67,41 @@ def fsum_or_error(row):
         return type(exc), str(exc)
 
 
-def check_row_sums(magnitudes, signs):
-    """``row_sums`` against ``math.fsum`` of each signed row and each magnitude row.
+def sign_columns(signs):
+    """The ``(n, 2)`` weights ``copysign(1, signs)`` and 1 of a series' signed and magnitude sums."""
+    signs = np.asarray(signs, dtype=float)
+    return np.stack((np.copysign(1.0, signs), np.ones(len(signs)))).T
 
-    The sums must match by ``hex``; otherwise ``row_sums`` must raise the
-    first error of the rows in order, each row's signed sum before its
-    magnitude sum.
+
+def check_weighted_sums(magnitudes, weights, tables=None):
+    """``row_sums(magnitudes, weights)`` against ``math.fsum`` of each weighted row.
+
+    ``tables`` holds one table of weighted rows per column, by default
+    ``magnitudes * column``. The sums must match by ``hex``; otherwise
+    ``row_sums`` must raise the first error of the rows in order, each row's
+    columns in order.
     """
     magnitudes = np.asarray(magnitudes, dtype=float)
-    signed_rows = np.copysign(magnitudes, signs)
-    expected = [
-        (fsum_or_error(signed.tolist()), fsum_or_error(row.tolist()))
-        for signed, row in zip(signed_rows, magnitudes)
-    ]
-    errors = [e for pair in expected for e in pair if isinstance(e, tuple)]
+    if tables is None:
+        tables = [magnitudes * column for column in weights.T]
+    expected = [[fsum_or_error(table[r].tolist()) for table in tables] for r in range(len(magnitudes))]
+    errors = [e for sums in expected for e in sums if isinstance(e, tuple)]
     if errors:
         kind, message = errors[0]
         with pytest.raises(kind) as raised:
-            row_sums(magnitudes, signs)
+            row_sums(magnitudes, weights)
         assert str(raised.value) == message
     else:
-        signed, total = row_sums(magnitudes, signs)
-        assert [(a.hex(), b.hex()) for a, b in zip(signed, total)] == expected
+        sums = row_sums(magnitudes, weights)
+        assert [[s.hex() for s in row] for row in zip(*sums)] == expected
+
+
+def check_row_sums(magnitudes, signs):
+    """``row_sums`` under the two columns built from ``signs``, against ``math.fsum``
+    of each signed row ``copysign(magnitudes, signs)`` and each magnitude row."""
+    magnitudes = np.asarray(magnitudes, dtype=float)
+    tables = [np.copysign(magnitudes, signs), magnitudes]
+    check_weighted_sums(magnitudes, sign_columns(signs), tables)
 
 
 class TestRowSums:
@@ -112,7 +125,7 @@ class TestRowSums:
         check_row_sums(np.abs(padded), np.array(signs, dtype=float))
 
     def test_empty_rows_sum_to_zero(self):
-        signed, total = row_sums(np.empty((3, 0)), np.empty(0))
+        signed, total = row_sums(np.empty((3, 0)), sign_columns(np.empty(0)))
         assert [s.hex() for s in signed + total] == [0.0.hex()] * 6
 
     def test_long_rows_with_wide_spread(self):
@@ -124,7 +137,7 @@ class TestRowSums:
         signs[2500:] = -signs[:2500]
         magnitudes[1, 2500:] = magnitudes[1, :2500]
         check_row_sums(magnitudes, signs)
-        assert row_sums(magnitudes, signs)[0][1] == 0.0
+        assert row_sums(magnitudes, sign_columns(signs))[0][1] == 0.0
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("exponent", [-900, 0, 900])
@@ -142,7 +155,7 @@ class TestRowSums:
         assert math.fsum(table[0].tolist()) == expected
         signs = np.copysign(1.0, table[0])
         for row in table:
-            signed, _ = row_sums(np.abs(row)[np.newaxis], row)
+            signed, _ = row_sums(np.abs(row)[np.newaxis], sign_columns(row))
             assert signed[0].hex() == expected.hex()
         # One block, sign per column: |row| with the first row's signs.
         check_row_sums(np.abs(table), signs)
@@ -151,9 +164,39 @@ class TestRowSums:
         # The signed row adds opposite infinities; its magnitudes overflow first.
         magnitudes = np.array([[1e308, 1e308, INF, INF]])
         with pytest.raises(ValueError, match="-inf \\+ inf"):
-            row_sums(magnitudes, np.array([1.0, -1.0, 1.0, -1.0]))
+            row_sums(magnitudes, sign_columns([1.0, -1.0, 1.0, -1.0]))
         with pytest.raises(OverflowError, match="intermediate overflow"):
-            row_sums(magnitudes, np.ones(4))
+            row_sums(magnitudes, sign_columns(np.ones(4)))
+
+    def test_a_sign_column_alone_never_sums_the_magnitudes(self):
+        # Each row's magnitudes overflow math.fsum; their signed sums do not.
+        magnitudes = np.array([[1e308, 1e308, 1.0], [1.5e308, 1e308, 1e-300], [1e308, 1e308, 0.0]])
+        signs = np.array([1.0, -1.0, -1.0])
+        for row in magnitudes.tolist():
+            with pytest.raises(OverflowError):
+                math.fsum(row)
+        (signed,) = row_sums(magnitudes, sign_columns(signs)[:, :1])
+        expected = [math.fsum(np.copysign(row, signs).tolist()) for row in magnitudes]
+        assert [s.hex() for s in signed] == [s.hex() for s in expected]
+
+    @given(table=st.lists(rows, min_size=1, max_size=6), data=st.data())
+    def test_three_columns_each_equal_fsum(self, table, data):
+        width = max(len(row) for row in table)
+        padded = np.abs([row + [0.0] * (width - len(row)) for row in table])
+        signs = data.draw(st.lists(st.sampled_from((1.0, -1.0)), min_size=width, max_size=width))
+        check_weighted_sums(padded, np.array([signs, np.negative(signs), np.ones(width)]).T)
+
+    def test_the_first_error_comes_in_column_order(self):
+        # Under s the row adds opposite infinities; under 1 it overflows.
+        magnitudes = np.array([[1e308, 1e308, INF, INF]])
+        s = np.array([1.0, -1.0, 1.0, -1.0])
+        ones = np.ones(4)
+        for weights in ((s, -s, ones), (ones, s, -s), (-s, ones, s)):
+            check_weighted_sums(magnitudes, np.array(weights).T)
+        with pytest.raises(ValueError, match="-inf \\+ inf"):
+            row_sums(magnitudes, np.array((s, -s, ones)).T)
+        with pytest.raises(OverflowError, match="intermediate overflow"):
+            row_sums(magnitudes, np.array((ones, s, -s)).T)
 
     def test_taylor_rows_need_no_per_row_fsum(self, monkeypatch):
         # One block as taylor.expand builds it: 32 magnitude rows
@@ -185,7 +228,7 @@ class TestRowSums:
             return fsum(values)
 
         monkeypatch.setattr(math, "fsum", counting)
-        signed, total = row_sums(table, alphas)
+        signed, total = row_sums(table, sign_columns(alphas))
         monkeypatch.undo()
         assert whole_rows == 0
         assert [(a.hex(), b.hex()) for a, b in zip(signed, total)] == expected
