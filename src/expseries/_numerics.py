@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import functools
-import heapq
 import math
-import warnings
 from typing import Callable
 
 import numpy as np
@@ -95,8 +93,8 @@ def row_sums(magnitudes: np.ndarray, weights: np.ndarray) -> list[list[float]]:
 
 _GL_TOL = 1e-10
 _GL_MAX_DEPTH = 48
-# Without a budget, a rough integrand (noise, thousands of jumps) would split
-# nearly every panel many times over.
+# A rough integrand (noise, thousands of jumps) would split nearly every panel
+# many times over; a step that needs more panels than this raises instead.
 _GL_MAX_PANELS = 1000
 
 
@@ -133,55 +131,39 @@ def adaptive_gauss_legendre(
     ``f(s, k)`` maps nodes ``s`` and their step indices ``k`` (step k is
     ``[times[k], times[k+1]]``) to ``width`` integrand columns; one row of
     integrals per step is returned. The first call of ``f`` covers every
-    step's whole panel. Each later round pops, in every step with panels
-    still to test, the panel with the largest error and evaluates the halves
-    of all of them together, in calls of bounded size. A panel is accepted
-    when its value agrees with the sum of its halves to within 1e-10 in every
-    component. Non-finite values raise ``ValueError``. A panel still rejected
-    after 48 halvings is accepted with a ``RuntimeWarning`` that names its
-    interval. Each step evaluates at most 1000 panels; then its panels not
-    yet split are accepted as they are and one ``RuntimeWarning`` names the
-    step and the panel count. A step's accepted panels add in interval order.
+    step's whole panel. Each later round halves every pending panel of every
+    step together, in calls of bounded size. A panel is accepted when its
+    value agrees with the sum of its halves to within 1e-10 in every
+    component, and a step's accepted panels add in interval order.
+    ``ValueError`` is raised when a value is not finite, when a panel is still
+    rejected after 48 halvings, and when a step would evaluate more than 1000
+    panels; the last two name the step's interval and the limit that ran out.
     """
     bounds, count = times.tolist(), len(times) - 1
     wholes = _gl_panels(f, width, times[:-1], times[1:], np.arange(count))
-    panels, accepted = [1] * count, [[] for _ in range(count)]
-    # Per step, the panels still to test, keyed by the error of the panel they halve.
-    pending = [[(0.0, bounds[k], bounds[k + 1], wholes[k], 0)] for k in range(count)]
-    while True:
-        popped = []
-        for k, heap in enumerate(pending):
-            if heap and panels[k] + 2 > _GL_MAX_PANELS:
-                accepted[k].extend((lo, whole) for _, lo, _, whole, _ in heap)
-                heap.clear()
-                warnings.warn(
-                    f"quadrature on [{bounds[k]!r}, {bounds[k + 1]!r}] missed tolerance "
-                    f"{_GL_TOL} when its budget ran out after {panels[k]} panels",
-                    RuntimeWarning,
-                )
-            elif heap:
-                panels[k] += 2
-                popped.append((k, *heapq.heappop(heap)))
-        if not popped:
+    panels, accepted = np.ones(count, dtype=int), [{} for _ in range(count)]
+    # The panels still to test, (step, lo, hi, value), in step then interval order.
+    pending = [(k, bounds[k], bounds[k + 1], whole) for k, whole in enumerate(wholes)]
+    for _ in range(_GL_MAX_DEPTH + 1):
+        ks, los, his, olds = zip(*pending)
+        panels += 2 * np.bincount(ks, minlength=count)
+        if panels.max() > _GL_MAX_PANELS:
+            k, limit = panels.argmax(), f"needs more than {_GL_MAX_PANELS} panels"
             break
-        ks, _, los, his, olds, depths = zip(*popped)
         cuts = np.stack((los, 0.5 * (np.array(los) + his), his), axis=1)
         halves = _gl_panels(f, width, cuts[:, :2].ravel(), cuts[:, 1:].ravel(), np.repeat(ks, 2))
-        halves = halves.reshape(-1, 2, width)
-        sums = halves[:, 0] + halves[:, 1]
+        sums = halves[0::2] + halves[1::2]
         errors = np.max(np.abs(sums - np.array(olds)), axis=1)
-        for k, (lo, mid, hi), depth, (left, right), total, error in zip(
-            ks, cuts.tolist(), depths, halves, sums, errors
+        pending = []
+        for k, (lo, mid, hi), left, right, total, error in zip(
+            ks, cuts.tolist(), halves[0::2], halves[1::2], sums, errors
         ):
-            if error > _GL_TOL and depth < _GL_MAX_DEPTH:
-                heapq.heappush(pending[k], (-error, lo, mid, left, depth + 1))
-                heapq.heappush(pending[k], (-error, mid, hi, right, depth + 1))
-                continue
             if error > _GL_TOL:
-                warnings.warn(
-                    f"quadrature on [{lo!r}, {hi!r}] missed tolerance {_GL_TOL} "
-                    f"after {_GL_MAX_DEPTH} halvings",
-                    RuntimeWarning,
-                )
-            accepted[k].append((lo, total))
-    return np.array([sum(v for _, v in sorted(step, key=lambda p: p[0])) for step in accepted])
+                pending += [(k, lo, mid, left), (k, mid, hi, right)]
+            else:
+                accepted[k][lo] = total
+        if not pending:
+            return np.array([sum(v for _, v in sorted(step.items())) for step in accepted])
+    else:  # a panel was still rejected at the depth limit
+        k, limit = pending[0][0], f"missed tolerance {_GL_TOL} after {_GL_MAX_DEPTH} halvings"
+    raise ValueError(f"quadrature on [{bounds[k]!r}, {bounds[k + 1]!r}] {limit}")

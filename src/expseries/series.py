@@ -148,13 +148,15 @@ def evaluate(series: DirichletSeries, t: float) -> SeriesValue:
     result carries ``tail.sum_bound * exp(-tail.lambda_floor * t)`` as error
     bound, which is only certified for ``t >= 0``; negative ``t`` is
     therefore rejected for tailed series (and allowed otherwise, e.g. for
-    negative exponents).
+    negative exponents). A value that is not finite raises ``OverflowError``.
     """
     t = _require_finite(t, "t")
     if series.tail is not None and t < 0:
         raise ValueError("t < 0 with certified tail (tail bound holds for t >= 0 only)")
     magnitudes = np.abs(series.alphas) * np.exp(-series.lambdas * t)
     value = row_sums(magnitudes[np.newaxis], series.weights[:, :1])[0][0]
+    if not math.isfinite(value):
+        raise OverflowError(f"the series value at t={t!r} is not finite")
     return SeriesValue(value, _tail_error(series.tail, t))
 
 

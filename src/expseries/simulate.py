@@ -17,9 +17,8 @@ Vectorized callable controls advance by the exact step recursion
 
 where one adaptive Gauss-Legendre quadrature integrates every step and every
 mode at once: each call of ``u`` serves the panels of all steps in a round,
-in blocks of bounded size. Every node value must be finite (``ValueError``
-otherwise); a panel that misses the tolerance at the depth limit, and a step
-that runs out of its panel budget, each emit a ``RuntimeWarning``.
+in blocks of bounded size. It converges or raises ``ValueError``: on a node
+value that is not finite, and on a step it cannot resolve within its limits.
 The sensor output sampled by :func:`observability_signal` vanishes
 identically iff :func:`project_onto_v` zeroes every coordinate of ``y``
 (the uniqueness principle), so observability is decided exactly.
@@ -84,8 +83,8 @@ def propagate(
     (tolerance 1e-10 per panel, each call of ``u`` serving a round of
     panels), and the forced parts are carried between steps by ``exp(mu h)``.
     ``ValueError`` is raised if ``u`` returns another shape or is not finite
-    at a quadrature node; ``RuntimeWarning`` is emitted if a panel misses the
-    tolerance at the depth limit or a step spends its budget of 1000 panels.
+    at a quadrature node, and if a step's panels miss the tolerance after 48
+    halvings or would number more than 1000; it names the step's interval.
     """
     horizon = _require_positive(horizon, "horizon")
     steps = int(steps)

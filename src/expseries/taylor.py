@@ -89,6 +89,7 @@ def expand(series: DirichletSeries, tau: float, order: int) -> TaylorExpansion:
     ``_numerics.row_sums`` call gives both from a block of magnitude rows and
     the series' two ``weights`` columns, and ``S0`` is the ones column's sum
     of ``|alpha|``. The zeroth coefficient is ``evaluate(series, tau).value``.
+    ``OverflowError`` is raised when a term, and so its bound, overflows.
     """
     tau = _require_positive(tau, "tau")
     order = int(order)
@@ -114,11 +115,14 @@ def expand(series: DirichletSeries, tau: float, order: int) -> TaylorExpansion:
                 b = -b if b else math.fsum(np.copysign(row, -series.alphas).tolist())
             coeffs.append(b)
         bounds.extend(magnitude)
+    s0 = row_sums(absolute[np.newaxis], series.weights[:, 1:])[0][0]
+    if max(*bounds, s0) == math.inf:
+        raise OverflowError(f"the expansion around tau={tau!r} to order {order} is not finite")
     return TaylorExpansion(
         center=tau,
         coeffs=tuple(coeffs),
         coeff_bounds=tuple(bounds),
-        sum_abs_alpha=row_sums(absolute[np.newaxis], series.weights[:, 1:])[0][0],
+        sum_abs_alpha=s0,
         tail=series.tail,
     )
 

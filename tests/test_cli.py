@@ -161,8 +161,14 @@ class TestSeriesCommands:
                 ["eval", "--terms", "[[1,-1000],[-1,-1001]]", "--t", "1"],
                 "error: the series value at t=1.0 overflows a double\n",
             ),
+            (
+                # Its partial sums would add opposite infinities (fsum's error, exit 2).
+                ["remainder", "--terms", "[[1e300,100]]", "--tau", "0.0001", "--t", "0.00015",
+                 "--nmax", "120"],
+                "error: the remainder table around tau=0.0001 at t=0.00015 overflows a double\n",
+            ),
         ],
-        ids=["eval", "expand", "eval-opposite-infinities"],
+        ids=["eval", "expand", "eval-opposite-infinities", "remainder-of-overflowing-expansion"],
     )
     def test_overflow_is_one_error_line_naming_the_input(self, argv, stderr):
         result = subprocess.run(

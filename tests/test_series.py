@@ -50,6 +50,11 @@ class TestEvaluate:
         with pytest.raises(OverflowError, match="intermediate overflow"):
             evaluate(DirichletSeries([(1.5e308, 1.0), (1.5e308, 2.0)]), 0.0)
 
+    def test_overflowing_value_raises_instead_of_taking_a_certificate(self):
+        # e^{1000} overflows: the value would be inf with an error bound of 0.
+        with np.errstate(over="ignore"), pytest.raises(OverflowError, match=r"t=1\.0 is not finite"):
+            evaluate(DirichletSeries([(1.0, -1000.0)]), 1.0)
+
     def test_negative_t_allowed_without_tail(self):
         s = DirichletSeries([(1.0, -2.0)])
         assert evaluate(s, -1.0).value == pytest.approx(math.exp(-2.0))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from expseries._numerics import BLOCK_ELEMENTS
+from expseries._numerics import BLOCK_ELEMENTS, _gl_panels, adaptive_gauss_legendre
 from expseries.cli import main
 from expseries.control import (
     ControlFunction,
@@ -114,54 +114,83 @@ class TestPropagate:
             propagate(SpectralState.zero(2), u, act, 1.0)
         assert time.perf_counter() - start < 1.0
 
-    def test_unresolved_jump_warns_and_stays_accurate(self):
+    def test_unresolved_jump_raises_naming_its_step(self):
         act = Actuator.from_strings("0", "1")
-        jump = 1e8
-        u = lambda s: jump * (np.asarray(s) >= 0.3)
+        calls = []
+
+        def u(s):
+            calls.append(len(s))
+            return 1e8 * (np.asarray(s) >= 0.3)
+
         # With 16 steps the depth limit is reached on panels a few ulps wide,
         # where the jump still misses the tolerance.
-        with pytest.warns(RuntimeWarning, match="quadrature on"):
-            traj = propagate(SpectralState.zero(2), u, act, 1.0, steps=16)
+        match = r"^quadrature on \[0\.25, 0\.3125\] missed tolerance 1e-10 after 48 halvings$"
+        with pytest.raises(ValueError, match=match):
+            propagate(SpectralState.zero(2), u, act, 1.0, steps=16)
+        # One call per round, each within a block: the whole steps, then the
+        # halvings at depths 0 to 48.
+        assert len(calls) == 1 + 49
+
+    def test_unit_jump_matches_its_exact_integral(self):
+        # A bang-bang control: the panel holding the jump resolves before the depth limit.
+        act = Actuator.from_strings("0", "1")
+        u = lambda s: 1.0 * (np.asarray(s) >= 0.3)
+        traj = propagate(SpectralState.zero(2), u, act, 1.0, steps=16)
         for j in (1, 2):
             mu = eigenvalue(j)
-            exact = coupling_coefficient(act, j) * jump * math.expm1(mu * 0.7) / mu
+            exact = coupling_coefficient(act, j) * math.expm1(mu * 0.7) / mu
             assert traj.states[-1, j - 1] == pytest.approx(exact, rel=1e-12)
 
-    def test_noisy_control_stops_at_the_panel_budget(self):
+    @pytest.mark.parametrize(
+        "u",
+        [
+            lambda s: 1.0 + 1e-3 * np.random.default_rng(5).standard_normal(np.shape(s)),
+            lambda s: np.where(np.floor(3200.0 * np.asarray(s)) % 2 == 0, 1.0, -1.0),
+        ],
+        ids=["noise", "square-wave"],
+    )
+    def test_rough_control_raises_at_the_panel_budget(self, u):
         act = Actuator.from_strings("0", "1")
-        rng = np.random.default_rng(5)
-        u = lambda s: 1.0 + 1e-3 * rng.standard_normal(np.shape(s))
         start = time.perf_counter()
-        with pytest.warns(RuntimeWarning, match="budget") as record:
-            traj = propagate(SpectralState.zero(2), u, act, 1.0, steps=16)
-        assert time.perf_counter() - start < 5.0
-        assert len(record) == 16  # one per step
-        mu = eigenvalue(1)
-        exact = coupling_coefficient(act, 1) * math.expm1(mu) / mu
-        assert traj.states[-1, 0] == pytest.approx(exact, rel=1e-2)
-
-    def test_square_wave_with_thousands_of_jumps_stops_at_the_panel_budget(self):
-        act = Actuator.from_strings("0", "1")
-        u = lambda s: np.where(np.floor(3200.0 * np.asarray(s)) % 2 == 0, 1.0, -1.0)
-        start = time.perf_counter()
-        with pytest.warns(RuntimeWarning, match="budget"):
+        match = r"^quadrature on \[0\.0, 0\.0625\] needs more than 1000 panels$"
+        with pytest.raises(ValueError, match=match):
             propagate(SpectralState.zero(2), u, act, 1.0, steps=16)
-        assert time.perf_counter() - start < 5.0
+        assert time.perf_counter() - start < 1.0
 
-    @pytest.mark.parametrize("jumps, expected, tol", [(3200, -1.4067e-4, 1e-4), (640, -7.0332e-4, 1e-5)])
-    def test_square_wave_at_the_budget_stays_accurate(self, jumps, expected, tol):
-        act = Actuator.from_strings("0", "1")
-        u = lambda s: np.where(np.floor(jumps * np.asarray(s)) % 2 == 0, 1.0, -1.0)
-        with pytest.warns(RuntimeWarning, match="budget"):
-            traj = propagate(SpectralState.zero(2), u, act, 1.0, steps=16)
-        # Exact piecewise integral of e^{mu (1 - s)} u(s) over the 'jumps' pieces.
-        mu = eigenvalue(1)
-        edges = np.arange(jumps + 1) / jumps
-        pieces = (np.exp(mu * (1.0 - edges[:-1])) - np.exp(mu * (1.0 - edges[1:]))) / mu
-        signs = np.where(np.arange(jumps) % 2 == 0, 1.0, -1.0)
-        exact = coupling_coefficient(act, 1) * math.fsum((signs * pieces).tolist())
-        assert exact == pytest.approx(expected, abs=1e-8)
-        assert abs(traj.states[-1, 0] - exact) < tol
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["smooth", "cusp", "unit-jump"]),
+        at=st.floats(0.0, 1.0),
+        steps=st.integers(16, 256),
+        width=st.integers(1, 8),
+    )
+    def test_quadrature_equals_recursive_bisection(self, kind, at, steps, width):
+        # Whether a panel is accepted depends on that panel alone, so the
+        # batched rounds must give what halving each step on its own gives.
+        times = np.linspace(0.0, 1.0, steps + 1)
+        rates = -((np.pi * np.arange(1, width + 1)) ** 2)
+        u = {
+            "smooth": lambda s: np.cos(3.0 * s + at),
+            "cusp": lambda s: np.sqrt(np.abs(s - at)),
+            "unit-jump": lambda s: 1.0 * (s >= at),
+        }[kind]
+        f = lambda s, k: np.exp(np.outer(times[k + 1] - s, rates)) * u(s)[:, None]
+
+        def bisect(k, lo, hi, whole, depth):
+            mid = 0.5 * (lo + hi)
+            los, his = np.array([lo, mid]), np.array([mid, hi])
+            left, right = _gl_panels(f, width, los, his, np.array([k, k]))
+            total = left + right
+            if np.max(np.abs(total - whole)) > 1e-10 and depth < 48:
+                return bisect(k, lo, mid, left, depth + 1) + bisect(k, mid, hi, right, depth + 1)
+            return [total]
+
+        expected = []
+        for k, (lo, hi) in enumerate(zip(times[:-1].tolist(), times[1:].tolist())):
+            whole = _gl_panels(f, width, np.array([lo]), np.array([hi]), np.array([k]))[0]
+            expected.append(sum(bisect(k, lo, hi, whole, 0)))
+        got = adaptive_gauss_legendre(f, times, width)
+        assert got.tobytes() == np.array(expected).tobytes()
 
     def test_smooth_callable_is_integrated_once_per_step(self):
         # One call for the whole-step panels of every step and one for all

@@ -65,7 +65,8 @@ def natural_order_rows(series: DirichletSeries, tau: float, order: int):
     """``math.fsum`` of the rows ``term <- term * -lambda / n`` and of their magnitudes.
 
     Returns the coefficients, bounds and ``sum |alpha|`` by ``hex``, or the
-    type and message of the first error, each row's signed sum first.
+    type and message of the first error, each row's signed sum first. A sum
+    that is not finite is ``expand``'s ``OverflowError``, after every row.
     """
     try:
         term = series.alphas * np.exp(-series.lambdas * tau)
@@ -73,9 +74,12 @@ def natural_order_rows(series: DirichletSeries, tau: float, order: int):
         for n in range(order + 1):
             if n:
                 term = term * -series.lambdas / n
-            coeffs.append(math.fsum(term.tolist()).hex())
-            bounds.append(math.fsum(np.abs(term).tolist()).hex())
-        return coeffs, bounds, math.fsum(np.abs(series.alphas).tolist()).hex()
+            coeffs.append(math.fsum(term.tolist()))
+            bounds.append(math.fsum(np.abs(term).tolist()))
+        s0 = math.fsum(np.abs(series.alphas).tolist())
+        if not all(map(math.isfinite, [*coeffs, *bounds, s0])):
+            raise OverflowError(f"the expansion around tau={tau!r} to order {order} is not finite")
+        return [c.hex() for c in coeffs], [b.hex() for b in bounds], s0.hex()
     except (OverflowError, ValueError) as exc:
         return type(exc), str(exc)
 
@@ -113,6 +117,8 @@ class TestExpand:
         DirichletSeries([(1.5e308, 1.0), (-1.5e308, 1.000001), (1.5e308, 1.000002)]), 0.5, 2, math.fsum
     )
     @example(DirichletSeries([(1e300, 2e3), (-1e300, 2.5e3)]), 1e-4, 60, math.fsum)
+    # A term overflows alone: its row's sums are infinite, and expand raises.
+    @example(DirichletSeries([(1e300, 100.0)]), 1e-4, 120, math.fsum)
     def test_rows_equal_natural_order_sums_bit_for_bit(self, s, tau, order, fsum):
         # Either signed-zero rule of math.fsum (Python versions differ) holds
         # for the reference and for expand alike.
