@@ -41,6 +41,13 @@ def exp_integral_grid(rates: np.ndarray, times: np.ndarray) -> np.ndarray:
 BLOCK_ELEMENTS = 16_384
 
 
+def _no_overflow(values, what: str):
+    """``values`` (a float or an array) when every one is finite, else ``OverflowError``."""
+    if not (math.isfinite(values) if isinstance(values, float) else np.isfinite(values).all()):
+        raise OverflowError(f"{what} overflows a double")
+    return values
+
+
 def sum_slack(magnitude_sums: np.ndarray, n: int) -> np.ndarray:
     """Bounds on the error of any float sum of ``n`` numbers, from float sums of their magnitudes.
 
@@ -61,8 +68,8 @@ def row_sums(magnitudes: np.ndarray, weights: np.ndarray) -> list[list[float]]:
     matrix product sums them exactly under every column (Rump, Ogita and Oishi, SIAM
     J. Sci. Comput. 2008). Their exact rests share the ``sum_slack`` of their
     magnitudes, which settles a sum that rounds alike with it added and subtracted
-    (rounding is monotone); ``math.fsum`` adds an unsettled rest, and whole rows that
-    are not finite, all zero, or where ``sigma`` is not normal.
+    (rounding is monotone); ``math.fsum`` adds an unsettled rest, and whole rows that are
+    all zero or where ``sigma`` is not normal; a row that is not finite raises ``OverflowError``.
     """
     magnitudes = np.asarray(magnitudes, dtype=float)
     rows, n = magnitudes.shape
@@ -72,6 +79,7 @@ def row_sums(magnitudes: np.ndarray, weights: np.ndarray) -> list[list[float]]:
     ok = np.isfinite(largest) & (largest > 0) & (exponent >= -1022) & (exponent <= 1023)
     live = np.flatnonzero(ok)
     for r in np.flatnonzero(~ok).tolist():
+        _no_overflow(largest[r], "a term")
         for column, out in enumerate(sums):
             out[r] = math.fsum((magnitudes[r] * weights[:, column]).tolist())
     if len(live) < rows:

@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from . import BlockedModeError, ConditioningError
-from ._numerics import exp_integral
+from ._numerics import _no_overflow, exp_integral
 from .heat import Actuator, _blocked, coupling_coefficient, eigenvalue, mass_matrix
 from .series import _require_finite, _require_positive
 
@@ -144,6 +144,7 @@ def gram_matrix(exponents: Sequence[float], horizon: float) -> np.ndarray:
     return gram
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_moment_problem(
     exponents: Sequence[float], moments: Sequence[float], horizon: float,
     regularization: float = 0.0, weights: np.ndarray | None = None,
@@ -155,8 +156,9 @@ def solve_moment_problem(
     for a lumped control and the actuator mass matrix for a distributed one.
     The control reports the moment residual ``max_j |(W o G c - m)_j|``, its
     squared L2 norm ``c' (W o G) c`` as energy and the condition number of
-    ``W o G``. At zero regularization a residual above ``1e-6 * max|m|``
-    raises :class:`ConditioningError`: regularize or drop modes instead.
+    ``W o G``; a residual or energy that overflows raises ``OverflowError``. At
+    zero regularization a residual above ``1e-6 * max|m|`` raises
+    :class:`ConditioningError`: regularize or drop modes instead.
     """
     regularization = _require_finite(regularization, "regularization")
     if regularization < 0:
@@ -175,10 +177,9 @@ def solve_moment_problem(
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(f"moment system solve failed: {exc}") from exc
     residuals = gram @ coeffs - moments
-    residual = float(np.max(np.abs(residuals)))
+    residual = _no_overflow(float(np.max(np.abs(residuals))), "the moment residual")
+    energy = _no_overflow(float(coeffs @ gram @ coeffs), "the energy")
     scale = float(np.max(np.abs(moments)))
-    if not math.isfinite(residual):
-        raise ConditioningError("moment solve produced non-finite residuals")
     if regularization == 0.0 and residual > 1e-6 * scale:
         raise ConditioningError(
             f"moment residual {residual:.3e} exceeds 1e-6 * max|m| = {1e-6 * scale:.3e}; "
@@ -190,7 +191,7 @@ def solve_moment_problem(
         exponents=exponents,
         coeffs=tuple(float(c) for c in coeffs),
         moment_residual=residual,
-        energy=float(coeffs @ gram @ coeffs),
+        energy=energy,
         gram_condition=float(np.linalg.cond(gram)),
     )
     return control, residuals
@@ -240,9 +241,9 @@ def synthesize_lumped(
     residuals ``r_j`` imply on the retained modes (``beta_j r_j``) together
     with the state change still needed beyond ``n_modes``. It does not count
     the control's spillover into modes beyond ``n_modes``, which
-    :func:`expseries.simulate.verify_control` measures. ``eps`` is validated
-    (finite and positive) but not used; it keeps its place only because
-    callers pass it by position before ``regularization``.
+    :func:`expseries.simulate.verify_control` measures. A number that overflows raises
+    ``OverflowError``. ``eps`` is validated (finite and positive) but not used; it keeps
+    its place only because callers pass it by position before ``regularization``.
     """
     _require_positive(eps, "eps")
     horizon, n_modes, deltas, tail_energy = _synthesis_setup(z0, z1, horizon, n_modes)
@@ -265,13 +266,13 @@ def synthesize_lumped(
 
     control, moment_residuals = solve_moment_problem(
         [eigenvalue(j) for j in couplings],
-        [deltas[j - 1] / beta for j, beta in couplings.items()],
+        _no_overflow([deltas[j - 1] / beta for j, beta in couplings.items()], "a moment"),
         horizon, regularization,
     )
     mismatch = math.fsum(
         (beta * float(r)) ** 2 for beta, r in zip(couplings.values(), moment_residuals)
     )
-    return control, math.sqrt(mismatch + tail_energy)
+    return control, math.sqrt(_no_overflow(mismatch + tail_energy, "the predicted error"))
 
 
 def synthesize_distributed(
@@ -282,11 +283,14 @@ def synthesize_distributed(
     1..n_modes of z0 toward z1: ``(M o G + regularization I) c = delta``, M
     the actuator mass matrix, so no mode is blocked. ``predicted_error`` is the
     2-norm of the moment residuals and of the state change still needed beyond
-    ``n_modes``; as for a lumped control, spillover is not counted.
+    ``n_modes``; as for a lumped control, spillover is not counted, and a number
+    that overflows raises ``OverflowError``.
     """
     horizon, n_modes, deltas, tail_energy = _synthesis_setup(z0, z1, horizon, n_modes)
     control, residuals = solve_moment_problem(
-        [eigenvalue(j) for j in range(1, n_modes + 1)], deltas[:n_modes], horizon,
+        [eigenvalue(j) for j in range(1, n_modes + 1)],
+        _no_overflow(deltas[:n_modes], "a state change"), horizon,
         regularization, np.array(mass_matrix(actuator, n_modes, n_modes)),
     )
-    return control, math.sqrt(math.fsum(r * r for r in residuals.tolist()) + tail_energy)
+    miss = math.fsum(r * r for r in residuals.tolist()) + tail_energy
+    return control, math.sqrt(_no_overflow(miss, "the predicted error"))

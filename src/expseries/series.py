@@ -141,6 +141,7 @@ class DirichletSeries:
         return weights
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def evaluate(series: DirichletSeries, t: float) -> SeriesValue:
     """Evaluate the sum at ``t`` with a certified bound for the omitted tail.
 
@@ -148,15 +149,16 @@ def evaluate(series: DirichletSeries, t: float) -> SeriesValue:
     result carries ``tail.sum_bound * exp(-tail.lambda_floor * t)`` as error
     bound, which is only certified for ``t >= 0``; negative ``t`` is
     therefore rejected for tailed series (and allowed otherwise, e.g. for
-    negative exponents). A value that is not finite raises ``OverflowError``.
+    negative exponents). A zero coefficient's term is 0, and a term or sum
+    that overflows raises ``OverflowError``.
     """
     t = _require_finite(t, "t")
     if series.tail is not None and t < 0:
         raise ValueError("t < 0 with certified tail (tail bound holds for t >= 0 only)")
     magnitudes = np.abs(series.alphas) * np.exp(-series.lambdas * t)
+    if min(t * series.lambdas[0], t * series.lambdas[-1]) < 0:  # an exponent > 0: 0 * inf is NaN
+        magnitudes[series.alphas == 0] = 0.0
     value = row_sums(magnitudes[np.newaxis], series.weights[:, :1])[0][0]
-    if not math.isfinite(value):
-        raise OverflowError(f"the series value at t={t!r} is not finite")
     return SeriesValue(value, _tail_error(series.tail, t))
 
 

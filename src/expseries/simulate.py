@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._numerics import adaptive_gauss_legendre, exp_integral_grid
+from ._numerics import _no_overflow, adaptive_gauss_legendre, exp_integral_grid
 from .control import ControlFunction, SpectralState
 from .heat import Actuator, coupling_coefficient, eigenvalue, mass_matrix
 from .series import _require_positive
@@ -66,6 +66,7 @@ def _couplings(actuator: Actuator, n: int) -> np.ndarray:
     return np.array([coupling_coefficient(actuator, j) for j in range(1, n + 1)])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def propagate(
     z0: SpectralState,
     control: ControlLike,
@@ -85,6 +86,7 @@ def propagate(
     ``ValueError`` is raised if ``u`` returns another shape or is not finite
     at a quadrature node, and if a step's panels miss the tolerance after 48
     halvings or would number more than 1000; it names the step's interval.
+    A state or a terminal error that overflows raises ``OverflowError``.
     """
     horizon = _require_positive(horizon, "horizon")
     steps = int(steps)
@@ -124,16 +126,15 @@ def propagate(
     elif control is not None:
         raise TypeError("control must be None, a ControlFunction, or a callable u(s)")
 
-    terminal_error = None
+    states, terminal_error = _no_overflow(states, "a state"), None
     if target is not None:
         width = max(n, target.n_modes)
         final = np.zeros(width)
         final[:n] = states[-1]
         goal = np.zeros(width)
         goal[: target.n_modes] = target.coeff_array
-        terminal_error = float(np.linalg.norm(final - goal))
-
-    return Trajectory(times=times, states=states, terminal_error=terminal_error)
+        terminal_error = _no_overflow(float(np.linalg.norm(final - goal)), "the terminal error")
+    return Trajectory(times, states, terminal_error)
 
 
 def verify_control(
@@ -155,14 +156,15 @@ def verify_control(
     return propagate(padded0, control, actuator, horizon, steps=64, target=padded1)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def observability_signal(
     y: SpectralState, actuator: Actuator, horizon: float, samples: int
 ) -> SampledSignal:
     """The lumped sensor output t -> sum_j exp(mu_j t) y_j beta_j on [0, horizon].
 
-    This is exactly the exponential sum whose identical vanishing
-    characterizes unobservable states; blocked modes contribute exactly zero,
-    so a state supported on the blocked set yields the all-zero signal.
+    This is exactly the exponential sum whose identical vanishing characterizes unobservable
+    states; blocked modes contribute exactly zero, so a state supported on the blocked set
+    yields the all-zero signal. A sample that overflows raises ``OverflowError``.
     """
     samples = int(samples)
     if samples < 2:
@@ -173,7 +175,7 @@ def observability_signal(
     weights = _couplings(actuator, n) * y.coeff_array
     times = np.linspace(0.0, horizon, samples)
     values = np.exp(np.outer(times, rates)) @ weights
-    return SampledSignal(times, values, horizon)
+    return SampledSignal(times, _no_overflow(values, "a sample"), horizon)
 
 
 def project_onto_v(y: SpectralState, report) -> SpectralState:

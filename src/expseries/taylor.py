@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import BLOCK_ELEMENTS, row_sums
+from ._numerics import BLOCK_ELEMENTS, _no_overflow, row_sums
 from .series import DirichletSeries, SeriesValue, TailModel, _tail_error
 from .series import _require_finite, _require_positive
 
@@ -80,6 +80,7 @@ class RemainderCertificate:
     bound: float
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def expand(series: DirichletSeries, tau: float, order: int) -> TaylorExpansion:
     """Taylor coefficients of the sum around ``tau`` up to ``order``.
 
@@ -89,7 +90,7 @@ def expand(series: DirichletSeries, tau: float, order: int) -> TaylorExpansion:
     ``_numerics.row_sums`` call gives both from a block of magnitude rows and
     the series' two ``weights`` columns, and ``S0`` is the ones column's sum
     of ``|alpha|``. The zeroth coefficient is ``evaluate(series, tau).value``.
-    ``OverflowError`` is raised when a term, and so its bound, overflows.
+    ``OverflowError`` is raised when a term or a sum overflows.
     """
     tau = _require_positive(tau, "tau")
     order = int(order)
@@ -116,8 +117,6 @@ def expand(series: DirichletSeries, tau: float, order: int) -> TaylorExpansion:
             coeffs.append(b)
         bounds.extend(magnitude)
     s0 = row_sums(absolute[np.newaxis], series.weights[:, 1:])[0][0]
-    if max(*bounds, s0) == math.inf:
-        raise OverflowError(f"the expansion around tau={tau!r} to order {order} is not finite")
     return TaylorExpansion(
         center=tau,
         coeffs=tuple(coeffs),
@@ -130,9 +129,10 @@ def expand(series: DirichletSeries, tau: float, order: int) -> TaylorExpansion:
 def _radius_ratio(expansion: TaylorExpansion, t: float) -> float:
     t = _require_finite(t, "t")
     tau = expansion.center
-    if not (0.0 < t < 2.0 * tau):
+    r = abs(t - tau) / tau
+    if not (0.0 < t < 2.0 * tau and r < 1.0):  # r can round to 1 next to either end
         raise ValueError(f"t must lie in (0, 2*tau) = (0, {2.0 * tau}); got {t}")
-    return abs(t - tau) / tau
+    return r
 
 
 def _remainder(s0: float, r: float, n: int, tail: float) -> float:
@@ -146,7 +146,8 @@ def remainder_bound(expansion: TaylorExpansion, n: int, t: float) -> RemainderCe
     ``phi`` is the whole series, tail included: the bound is the envelope
     over the explicit mass plus the tail bound at ``t``. Valid for ``t`` in
     (0, 2*tau) and ``1 <= n <= expansion.order``; the n = 0 case is rejected
-    because the factorial lower bound behind the envelope starts at n = 1.
+    because the factorial lower bound behind the envelope starts at n = 1. A
+    bound that overflows raises ``OverflowError``.
     """
     n = int(n)
     if n < 1:
@@ -155,6 +156,8 @@ def remainder_bound(expansion: TaylorExpansion, n: int, t: float) -> RemainderCe
         raise ValueError(f"n={n} exceeds the expansion order {expansion.order}")
     r = _radius_ratio(expansion, t)
     bound = _remainder(expansion.sum_abs_alpha, r, n, _tail_error(expansion.tail, t))
+    if bound == math.inf:  # a float compare: this runs once per order
+        raise OverflowError("the remainder bound overflows a double")
     return RemainderCertificate(order=n, t=float(t), bound=bound)
 
 
@@ -179,7 +182,7 @@ def partial_sums(expansion: TaylorExpansion, t: float) -> np.ndarray:
 
     Each partial sum is an error-free-transformation accumulation of the
     individual terms, so measured remainders are not polluted by naive
-    summation error.
+    summation error. A term or a partial sum that overflows raises ``OverflowError``.
     """
     t = _require_finite(t, "t")
     dt = t - expansion.center
@@ -188,6 +191,7 @@ def partial_sums(expansion: TaylorExpansion, t: float) -> np.ndarray:
     for b in expansion.coeffs:
         terms.append(b * power)
         power *= dt
+    _no_overflow(terms, "a term of the partial sums")
     return np.array([math.fsum(terms[: n + 1]) for n in range(len(terms))])
 
 

@@ -102,6 +102,7 @@ def chebyshev_sample(horizon: float, nodes: int) -> np.ndarray:
     return horizon * 0.5 * (1.0 - np.cos(np.pi * k / (nodes - 1)))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def is_identically_zero(
     series: DirichletSeries, horizon: float, tol: float, nodes: int = 129
 ) -> bool:
@@ -109,7 +110,8 @@ def is_identically_zero(
 
     Tolerance semantics are absolute: this is a statement about the zero
     function, where relative comparisons are meaningless. With tol -> 0 the
-    verdict characterizes all-zero coefficients.
+    verdict characterizes all-zero coefficients. A zero coefficient's term is 0; the
+    test raises ``OverflowError`` where ``evaluate`` would at a node of a block it reaches.
     """
     horizon = _require_positive(horizon, "horizon")
     tol = _require_positive(tol, "tol")
@@ -120,19 +122,20 @@ def is_identically_zero(
     for start in range(0, len(ts), per_block):
         block = ts[start : start + per_block]
         magnitudes = np.abs(series.alphas) * np.exp(-np.multiply.outer(block, series.lambdas))
+        if series.lambdas[0] < 0:  # an exponent > 0: 0 * inf is NaN
+            magnitudes[:, series.alphas == 0] = 0.0
         tails = np.array([_tail_error(series.tail, t) for t in block.tolist()])
-        with np.errstate(over="ignore", invalid="ignore"):
-            # Shewchuk's filter: the float sum is within the slack of the exact one and
-            # rounding is monotone, so outward bounds settle most nodes without it.
-            # Below 2**1023 the magnitudes cannot overflow math.fsum.
-            naive, total = np.abs(magnitudes @ series.weights).T
-            slack, sure = sum_slack(total, len(series)), total < 2.0**1023
-            good = sure & (np.nextafter(naive + slack, math.inf) + tails <= tol)
-            low = np.maximum(np.nextafter(naive - slack, -math.inf), 0.0)
-            unsettled = np.flatnonzero(~good & ~(sure & (low + tails > tol)))
-            if unsettled.size:
-                values = row_sums(magnitudes[unsettled], series.weights[:, :1])[0]
-                good[unsettled] = np.abs(values) + tails[unsettled] <= tol  # NaN fails
+        # Shewchuk's filter: the float sum is within the slack of the exact one and
+        # rounding is monotone, so outward bounds settle most nodes without it.
+        # Below 2**1023 the magnitudes cannot overflow math.fsum.
+        naive, total = np.abs(magnitudes @ series.weights).T
+        slack, sure = sum_slack(total, len(series)), total < 2.0**1023
+        good = sure & (np.nextafter(naive + slack, math.inf) + tails <= tol)
+        low = np.maximum(np.nextafter(naive - slack, -math.inf), 0.0)
+        unsettled = np.flatnonzero(~good & ~(sure & (low + tails > tol)))
+        if unsettled.size:
+            values = row_sums(magnitudes[unsettled], series.weights[:, :1])[0]
+            good[unsettled] = np.abs(values) + tails[unsettled] <= tol
         if not good.all():
             return False
     return True

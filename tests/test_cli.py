@@ -413,6 +413,66 @@ class TestControlCommands:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "options, stderr",
+        [
+            (
+                "--target [1e200,0,0]->0 --a 0 --b 1 --T 1 --N 1",
+                "error: the control for [1e200,0,0]->0 on [0, 1.0] overflows a double\n",
+            ),
+            (
+                "--target [1,0,1e200]->0 --a 0 --b 1 --T 1 --N 1",
+                "error: the control for [1,0,1e200]->0 on [0, 1.0] overflows a double\n",
+            ),
+            (
+                "--kind distributed --target [1e200,0,0]->0 --a 0 --b 1/2 --T 0.001 --N 2",
+                "error: the control for [1e200,0,0]->0 on [0, 0.001] overflows a double\n",
+            ),
+        ],
+        ids=["energy", "predicted-error", "distributed"],
+    )
+    def test_overflowing_control_is_domain_error(self, tmp_path, options, stderr):
+        # The energy, the predicted error or both overflow: no document holds Infinity.
+        out = tmp_path / "c.json"
+        result = subprocess.run(
+            [sys.executable, "-m", "expseries.cli", "control", "synthesize",
+             *shlex.split(options), "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (3, "", stderr)
+        assert not out.exists()
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        z0=st.lists(st.sampled_from(["0", "1", "1e100", "-1e200", "1e300", "1.7e308"]),
+                    min_size=1, max_size=3),
+        kind=st.sampled_from([["--b", "1", "--T", "1"], ["--kind", "distributed", "--b", "1/2",
+                                                       "--T", "0.001"]]),
+        n_modes=st.sampled_from(["1", "2"]),
+    )
+    def test_every_written_control_is_json_that_simulate_reads(self, tmp_path_factory, z0,
+                                                               kind, n_modes):
+        # Synthesis overflows (exit 3, nothing written) or writes RFC 8259 JSON, with
+        # no Infinity, that simulate reads; simulate may still overflow (exit 3).
+        z0 = f"[{','.join(z0)}]"
+        ctrl = tmp_path_factory.mktemp("roundtrip") / "c.json"
+        code = main(["control", "synthesize", "--target", f"{z0}->0", "--a", "0", *kind,
+                     "--N", n_modes, "--out", str(ctrl)])
+        assert code in (0, 3)
+        assert ctrl.exists() == (code == 0)
+        if code == 0:
+
+            def refuse(constant):
+                raise AssertionError(f"{constant} is not RFC 8259 JSON")
+
+            json.loads(ctrl.read_text(), parse_constant=refuse)
+            b = kind[kind.index("--b") + 1]
+            simulated = main(["control", "simulate", "--control", str(ctrl), "--a", "0", "--b", b,
+                              "--z0", z0, "--z1", "0", "--no-header"])
+            assert simulated in (0, 3)
+
     @settings(deadline=None)
     @given(data=st.data())
     def test_verdict_is_every_nonzero_coordinate_blocked(self, data):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -79,12 +80,18 @@ def check_weighted_sums(magnitudes, weights, tables=None):
     ``tables`` holds one table of weighted rows per column, by default
     ``magnitudes * column``. The sums must match by ``hex``; otherwise
     ``row_sums`` must raise the first error of the rows in order, each row's
-    columns in order.
+    columns in order. A row that holds a magnitude that is not finite raises
+    ``OverflowError`` before any of its columns is summed.
     """
     magnitudes = np.asarray(magnitudes, dtype=float)
     if tables is None:
         tables = [magnitudes * column for column in weights.T]
-    expected = [[fsum_or_error(table[r].tolist()) for table in tables] for r in range(len(magnitudes))]
+    expected = [
+        [fsum_or_error(table[r].tolist()) for table in tables]
+        if np.isfinite(magnitudes[r]).all()
+        else [(OverflowError, "a term overflows a double")]
+        for r in range(len(magnitudes))
+    ]
     errors = [e for sums in expected for e in sums if isinstance(e, tuple)]
     if errors:
         kind, message = errors[0]
@@ -94,6 +101,22 @@ def check_weighted_sums(magnitudes, weights, tables=None):
     else:
         sums = row_sums(magnitudes, weights)
         assert [[s.hex() for s in row] for row in zip(*sums)] == expected
+
+
+def fsum_calls_until_error(magnitudes, weights):
+    """The rows ``row_sums`` hands ``math.fsum``, in order, up to the one that overflows."""
+    calls = []
+
+    def recording_fsum(values):
+        calls.append(list(values))
+        return fsum(calls[-1])
+
+    fsum = math.fsum
+    with mock.patch.object(math, "fsum", recording_fsum), pytest.raises(
+        OverflowError, match="intermediate overflow"
+    ):
+        row_sums(magnitudes, weights)
+    return calls
 
 
 def check_row_sums(magnitudes, signs):
@@ -161,12 +184,14 @@ class TestRowSums:
         check_row_sums(np.abs(table), signs)
 
     def test_a_row_raises_its_signed_sums_error_first(self):
-        # The signed row adds opposite infinities; its magnitudes overflow first.
-        magnitudes = np.array([[1e308, 1e308, INF, INF]])
-        with pytest.raises(ValueError, match="-inf \\+ inf"):
-            row_sums(magnitudes, sign_columns([1.0, -1.0, 1.0, -1.0]))
-        with pytest.raises(OverflowError, match="intermediate overflow"):
-            row_sums(magnitudes, sign_columns(np.ones(4)))
+        # The signed row and the magnitudes both overflow fsum; the signed row is
+        # summed first and raises, so the magnitudes are never summed.
+        magnitudes = np.array([[1e308, 1e308, 1e308]])
+        calls = fsum_calls_until_error(magnitudes, sign_columns([1.0, 1.0, -1.0]))
+        assert calls == [[1e308, 1e308, -1e308]]
+        # A row that holds an infinite magnitude raises before any sum.
+        with pytest.raises(OverflowError, match="a term overflows a double"):
+            row_sums(np.array([[1e308, 1e308, INF, INF]]), sign_columns([1.0, -1.0, 1.0, -1.0]))
 
     def test_a_sign_column_alone_never_sums_the_magnitudes(self):
         # Each row's magnitudes overflow math.fsum; their signed sums do not.
@@ -187,16 +212,15 @@ class TestRowSums:
         check_weighted_sums(padded, np.array([signs, np.negative(signs), np.ones(width)]).T)
 
     def test_the_first_error_comes_in_column_order(self):
-        # Under s the row adds opposite infinities; under 1 it overflows.
-        magnitudes = np.array([[1e308, 1e308, INF, INF]])
+        # The row overflows fsum under 1 alone: the columns before it are summed, none after.
+        magnitudes = np.array([[1e308, 1e308, 1.0, 1.0]])
         s = np.array([1.0, -1.0, 1.0, -1.0])
         ones = np.ones(4)
         for weights in ((s, -s, ones), (ones, s, -s), (-s, ones, s)):
             check_weighted_sums(magnitudes, np.array(weights).T)
-        with pytest.raises(ValueError, match="-inf \\+ inf"):
-            row_sums(magnitudes, np.array((s, -s, ones)).T)
-        with pytest.raises(OverflowError, match="intermediate overflow"):
-            row_sums(magnitudes, np.array((ones, s, -s)).T)
+            calls = fsum_calls_until_error(magnitudes, np.array(weights).T)
+            summed = [(magnitudes[0] * w).tolist() for w in weights]
+            assert calls == summed[: [w is ones for w in weights].index(True) + 1]
 
     def test_taylor_rows_need_no_per_row_fsum(self, monkeypatch):
         # One block as taylor.expand builds it: 32 magnitude rows

@@ -52,7 +52,7 @@ class TestEvaluate:
 
     def test_overflowing_value_raises_instead_of_taking_a_certificate(self):
         # e^{1000} overflows: the value would be inf with an error bound of 0.
-        with np.errstate(over="ignore"), pytest.raises(OverflowError, match=r"t=1\.0 is not finite"):
+        with pytest.raises(OverflowError, match="a term overflows"):
             evaluate(DirichletSeries([(1.0, -1000.0)]), 1.0)
 
     def test_negative_t_allowed_without_tail(self):

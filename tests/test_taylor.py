@@ -65,20 +65,20 @@ def natural_order_rows(series: DirichletSeries, tau: float, order: int):
     """``math.fsum`` of the rows ``term <- term * -lambda / n`` and of their magnitudes.
 
     Returns the coefficients, bounds and ``sum |alpha|`` by ``hex``, or the
-    type and message of the first error, each row's signed sum first. A sum
-    that is not finite is ``expand``'s ``OverflowError``, after every row.
+    type and message of the first error, each row's signed sum first. A row
+    that holds a term that is not finite raises ``OverflowError`` before its sums.
     """
     try:
         term = series.alphas * np.exp(-series.lambdas * tau)
         coeffs, bounds = [], []
         for n in range(order + 1):
             if n:
-                term = term * -series.lambdas / n
+                term = term * -series.lambdas / n  # a zero coefficient's term stays a signed 0
+            if not np.isfinite(term).all():
+                raise OverflowError("a term overflows a double")
             coeffs.append(math.fsum(term.tolist()))
             bounds.append(math.fsum(np.abs(term).tolist()))
         s0 = math.fsum(np.abs(series.alphas).tolist())
-        if not all(map(math.isfinite, [*coeffs, *bounds, s0])):
-            raise OverflowError(f"the expansion around tau={tau!r} to order {order} is not finite")
         return [c.hex() for c in coeffs], [b.hex() for b in bounds], s0.hex()
     except (OverflowError, ValueError) as exc:
         return type(exc), str(exc)
@@ -111,13 +111,13 @@ class TestExpand:
         order=st.integers(0, 120),
         fsum=st.sampled_from((math.fsum, ieee_zero_fsum)),
     )
-    # fsum overflows on a signed row, on a magnitude row alone, and adds opposite infinities.
+    # fsum overflows on a signed row, on a magnitude row alone; terms of both signs overflow.
     @example(DirichletSeries([(1e308, 1e-3), (1e308, 2e-3)]), 1.0, 3, math.fsum)
     @example(
         DirichletSeries([(1.5e308, 1.0), (-1.5e308, 1.000001), (1.5e308, 1.000002)]), 0.5, 2, math.fsum
     )
     @example(DirichletSeries([(1e300, 2e3), (-1e300, 2.5e3)]), 1e-4, 60, math.fsum)
-    # A term overflows alone: its row's sums are infinite, and expand raises.
+    # A term overflows alone, and expand raises at its row.
     @example(DirichletSeries([(1e300, 100.0)]), 1e-4, 120, math.fsum)
     def test_rows_equal_natural_order_sums_bit_for_bit(self, s, tau, order, fsum):
         # Either signed-zero rule of math.fsum (Python versions differ) holds
@@ -236,6 +236,12 @@ class TestRemainderBound:
         for bad_t in (0.0, -0.5, 2.0, 3.0):
             with pytest.raises(ValueError, match="t must lie in"):
                 remainder_bound(exp_, 3, bad_t)
+
+    def test_rejects_t_within_rounding_of_an_end(self):
+        # |t - tau| / tau rounds to 1, where 1 / (1 - r) would divide by zero.
+        exp_ = expand(DirichletSeries([(1.0, 1.0)]), 1.0, 5)
+        with pytest.raises(ValueError, match="t must lie in"):
+            remainder_bound(exp_, 3, 1e-300)
 
     def test_rejects_bad_order(self):
         exp_ = expand(DirichletSeries([(1.0, 1.0)]), 1.0, 5)
