@@ -8,32 +8,23 @@ from typing import Callable
 
 import numpy as np
 
-# Below this rate the closed form (e^{rt}-1)/r loses digits to cancellation.
-_RATE_SWITCH = 1e-12
+# Below this |rate * t| the three-term series is exact to rounding (the next term
+# is x**3 / 24 < 2**-55); above it expm1 keeps every digit of e**x - 1.
+_SERIES_SWITCH = 2.0**-17
 
 
-def exp_integral(rate: float, t: float) -> float:
-    """Integral of exp(rate*s) over s in [0, t].
+def exp_integral(rates: np.ndarray, times: np.ndarray | float) -> np.ndarray:
+    """Integral of exp(rate*s) over s in [0, t], broadcast over ``rates`` and ``times``.
 
-    Uses the three-term series for tiny rates so the rate -> 0 limit (= t)
-    is reproduced without cancellation.
+    With ``x = rate * t`` it is ``t (1 + x/2 + x**2/6)`` where ``|x| < 2**-17``,
+    which gives the rate -> 0 limit ``t``, and ``expm1(x) / rate`` elsewhere. A
+    value past the double range is ``inf``; callers silence numpy's warning and raise.
     """
-    x = rate * t
-    if abs(rate) < _RATE_SWITCH:
-        return t * (1.0 + 0.5 * x + x * x / 6.0)
-    return math.expm1(x) / rate
-
-
-def exp_integral_grid(rates: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """``exp_integral`` broadcast over a time grid (rows) and rates (columns)."""
-    rates = np.asarray(rates, dtype=float)
-    times = np.asarray(times, dtype=float)
-    x = np.multiply.outer(times, rates)
-    small = np.abs(rates) < _RATE_SWITCH
-    safe = np.where(small, 1.0, rates)
-    closed = np.expm1(x) / safe
-    series = times[:, None] * (1.0 + 0.5 * x + x * x / 6.0)
-    return np.where(small[None, :], series, closed)
+    rates, times = np.asarray(rates, dtype=float), np.asarray(times, dtype=float)
+    x = rates * times
+    series = np.abs(x) < _SERIES_SWITCH
+    closed = np.expm1(x) / np.where(series, 1.0, rates)
+    return np.where(series, times * (1.0 + 0.5 * x + x * x / 6.0), closed)
 
 
 # Callers that sum many rows hand row_sums blocks of about this many elements,

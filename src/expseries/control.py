@@ -130,18 +130,14 @@ class ControlFunction:
         return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def gram_matrix(exponents: Sequence[float], horizon: float) -> np.ndarray:
-    """Gram matrix of the kernels ``exp(mu_k (T - s))`` on [0, T]."""
+    """Gram matrix of the kernels ``exp(mu_k (T - s))`` on [0, T], or ``OverflowError``."""
     exps = [_require_finite(m, "exponent") for m in exponents]
     if len(set(exps)) != len(exps):
         raise ValueError("duplicate exponents make the Gram matrix singular")
     horizon = _require_positive(horizon, "horizon")
-    n = len(exps)
-    gram = np.empty((n, n))
-    for i in range(n):
-        for k in range(i, n):
-            gram[i, k] = gram[k, i] = exp_integral(exps[i] + exps[k], horizon)
-    return gram
+    return _no_overflow(exp_integral(np.add.outer(exps, exps), horizon), "the Gram matrix")
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._numerics import _no_overflow, adaptive_gauss_legendre, exp_integral_grid
+from ._numerics import _no_overflow, adaptive_gauss_legendre, exp_integral
 from .control import ControlFunction, SpectralState
 from .heat import Actuator, coupling_coefficient, eigenvalue, mass_matrix
 from .series import _require_positive
@@ -109,7 +109,7 @@ def propagate(
         else:
             weights = np.array(mass_matrix(actuator, n, k))
         for column, nu, c in zip(weights.T, control.exponents, control.coeffs):
-            conv = exp_integral_grid(rates + nu, times)
+            conv = exp_integral(rates + nu, times[:, None])
             states += column * c * np.exp(nu * (horizon - times))[:, None] * conv
     elif callable(control):
         def integrand(s: np.ndarray, k: np.ndarray) -> np.ndarray:

@@ -72,9 +72,14 @@ class TestGramMatrix:
 
     def test_near_cancelling_rates_use_series(self):
         g = gram_matrix([-5e-13, 2e-13], 3.0)
-        # Off-diagonal rate is -3e-13: the closed form would divide ~1e-13
-        # by itself; the series value is T + O(rate T^2).
+        # Off-diagonal rate is -3e-13, so x = rate T = -9e-13 and the series
+        # gives T (1 + x/2 + ...); expm1(x)/rate would keep the same digits.
         assert g[0, 1] == pytest.approx(3.0, rel=1e-10)
+
+    def test_tiny_rates_over_a_long_horizon(self):
+        # rate T = -0.9 on the diagonal: a series in T alone would be 3.9% off.
+        g = gram_matrix([-4.5e-13, -4.4e-13], 1e12)
+        assert g[0, 0] == pytest.approx(-math.expm1(-0.9) / 9e-13, rel=1e-14)
 
 
 class TestSolveMomentProblem:

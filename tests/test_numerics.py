@@ -1,12 +1,14 @@
 import itertools
 import math
+import sys
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from expseries._numerics import BLOCK_ELEMENTS, row_sums
+from expseries._numerics import BLOCK_ELEMENTS, exp_integral, row_sums
 
 INF, NAN = math.inf, math.nan
 
@@ -256,3 +258,38 @@ class TestRowSums:
         monkeypatch.undo()
         assert whole_rows == 0
         assert [(a.hex(), b.hex()) for a, b in zip(signed, total)] == expected
+
+
+# Magnitudes spread evenly over decades: rates in +-[1e-20, 1e3], horizons in [1e-6, 1e12].
+rates = st.builds(
+    lambda sign, exponent: sign * 10.0**exponent, st.sampled_from((-1.0, 1.0)), st.floats(-20, 3)
+)
+horizons = st.floats(-6, 12).map(lambda exponent: 10.0**exponent)
+
+
+class TestExpIntegral:
+    @settings(max_examples=500)
+    @given(rate=rates, t=horizons)
+    # x = rate * t = -0.9: a tiny rate over a long horizon is no cancellation for expm1.
+    @example(rate=-9e-13, t=1e12)
+    @example(rate=2.412074034250237e-08, t=52.10102755855269)  # the series side of the switch
+    def test_within_3_ulps_of_expm1_over_rate(self, rate, t):
+        """Pinned against 50-digit ``expm1(x) / rate`` at the float product ``x = rate * t``."""
+        x = rate * t
+        with np.errstate(over="ignore"):
+            value = float(exp_integral(rate, t))
+        with mpmath.workdps(50):
+            exact = mpmath.expm1(x) / rate
+            if x > math.log(sys.float_info.max) or abs(exact) > sys.float_info.max:
+                assert value == math.inf  # e**x or the integral is past the double range
+            else:
+                assert abs(value - exact) <= 3 * math.ulp(float(exact)), (value, exact)
+
+    def test_broadcasts_rates_over_times(self):
+        times, rates = np.array([0.0, 0.5, 1.0]), np.array([-2.0, 0.0, 1e-13])
+        grid = exp_integral(rates, times[:, None])
+        assert grid.shape == (3, 3)
+        for i, t in enumerate(times):
+            for k, rate in enumerate(rates):
+                assert grid[i, k] == exp_integral(rate, t)
+        assert grid[:, 1].tolist() == times.tolist()  # the rate -> 0 limit is t

@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 from expseries.control import (
     ControlFunction,
     SpectralState,
+    gram_matrix,
     synthesize_distributed,
     synthesize_lumped,
 )
@@ -179,6 +180,11 @@ class TestRepros:
         control = ControlFunction("lumped", 1.0, (1e3,), (1e300,))
         with pytest.raises(OverflowError):
             propagate(SpectralState.unit_mode(1), control, UNIT, 1.0, steps=16)
+
+    def test_an_overflowing_gram_matrix(self):
+        # e**(800 * 2) overflows; a RuntimeWarning would fail the test too.
+        with pytest.raises(OverflowError, match="the Gram matrix"):
+            gram_matrix([400.0, 1.0], 2.0)
 
     def test_an_overflowing_sensor_output(self):
         with pytest.raises(OverflowError):

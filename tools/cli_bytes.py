@@ -10,10 +10,11 @@ Each run prints one line: its exit code, the sha256 of its output (the
 ``--out`` file when the argv names one, else stdout), the sha256 of stderr,
 and the argv. The runs are the README's ``expseries`` commands, the perfbench
 cli argvs at seeds 7-11 (from ``perfbench/workloads.py`` of the checkout),
-the overflow argvs below, and the four demos. Each run is a fresh
-``python -m expseries.cli`` (or demo) subprocess with ``PYTHONPATH`` set to
-the checkout's ``src``. A group's runs share a scratch directory as their
-working directory, so a control file written by one run is read by the next.
+the short-horizon and overflow argvs below, and the four demos. Each run is
+a fresh ``python -m expseries.cli`` (or demo) subprocess with ``PYTHONPATH``
+set to the checkout's ``src``. A group's runs share a scratch directory as
+their working directory, so a control file written by one run is read by the
+next.
 Only the standard library is used here; the workloads module needs numpy.
 """
 
@@ -56,6 +57,15 @@ OVERFLOW = [
     "control synthesize --target phi1->0 --a 0 --b 1 --T 1 --N 1 --out c.json",
     "control simulate --control c.json --a 0 --b 1 --z0 phi1 --z1 0",
     "control simulate --control c.json --a 0 --b 1 --z0 [1e200] --z1 0",
+]
+# Short horizons, where np.expm1 and math.expm1 disagree on a few Gram entries:
+# a lumped and a distributed control, each simulated after it is written.
+SHORT = [
+    "control synthesize --target phi1->0 --a 0 --b 1/3 --T 0.01 --N 3 --out s.json",
+    "control simulate --control s.json --a 0 --b 1/3 --z0 phi1 --z1 0",
+    "control synthesize --kind distributed --target phi1->0 --a 0 --b 1/2 --T 0.01 --N 4 "
+    "--out s.json",
+    "control simulate --control s.json --a 0 --b 1/2 --z0 phi1 --z1 0",
 ]
 # A control whose exponential overflows on the time grid.
 OVERFLOWING_CONTROL = '{"kind":"lumped","T":1,"exponents":[1e3],"coeffs":[1e300]}'
@@ -109,13 +119,17 @@ def main(argv: list[str] | None = None) -> int:
                         help="checkout to run (default: the one holding this script)")
     root = parser.parse_args(argv).root.resolve()
     with tempfile.TemporaryDirectory() as tmp:
-        groups = {name: Path(tmp) / name for name in ("readme", "workload", "overflow", "demos")}
+        groups = {
+            name: Path(tmp) / name for name in ("readme", "workload", "short", "overflow", "demos")
+        }
         for path in groups.values():
             path.mkdir()
         for args in readme_argvs(root):
             print(cli(root, groups["readme"], args))
         for args in workload_argvs(root, groups["workload"], range(7, 12)):
             print(cli(root, groups["workload"], args))
+        for line in SHORT:
+            print(cli(root, groups["short"], shlex.split(line)))
         (groups["overflow"] / "big.json").write_text(OVERFLOWING_CONTROL, encoding="utf-8")
         for line in OVERFLOW:
             print(cli(root, groups["overflow"], shlex.split(line)))
